@@ -435,7 +435,9 @@ func detectorFactory(name string, interval time.Duration, profile service.Profil
 	case "phi":
 		window := profile.EstimatorWindow(200)
 		return func(_ string, start time.Time) core.Detector {
-			return phi.New(start, phi.WithBootstrap(interval, interval/4), phi.WithWindowSize(window))
+			// The window must be sized before the bootstrap seeds it:
+			// WithWindowSize installs a fresh, empty window.
+			return phi.New(start, phi.WithWindowSize(window), phi.WithBootstrap(interval, interval/4))
 		}, nil
 	case "chen":
 		window := profile.EstimatorWindow(100)

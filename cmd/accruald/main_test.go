@@ -13,6 +13,7 @@ import (
 
 	"accrual/internal/clock"
 	"accrual/internal/core"
+	"accrual/internal/phi"
 	"accrual/internal/service"
 	"accrual/internal/transport"
 	"accrual/internal/transport/statecodec"
@@ -31,6 +32,26 @@ func TestDetectorFactory(t *testing.T) {
 	}
 	if _, err := detectorFactory("bogus", time.Second, service.ProfileDefault); err == nil {
 		t.Error("unknown detector name should fail")
+	}
+}
+
+// TestPhiFactoryBootstraps pins the daemon's φ factory to a usable
+// detector from the first query: the bootstrap's two synthetic
+// samples must survive the window sizing, so a fresh detector already
+// publishes a fitted snapshot instead of EvalZero.
+func TestPhiFactoryBootstraps(t *testing.T) {
+	for _, profile := range []service.Profile{service.ProfileDefault, service.ProfileCompact} {
+		f, err := detectorFactory("phi", time.Second, profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det := f("p", time.Now()).(*phi.Detector)
+		if n := det.SampleCount(); n != 2 {
+			t.Errorf("profile %v: fresh detector holds %d samples, want the 2 bootstrap samples", profile, n)
+		}
+		if k := det.EvalSnapshot().Kind; k != core.EvalPhiNormal {
+			t.Errorf("profile %v: fresh detector publishes %v, want a fitted EvalPhiNormal", profile, k)
+		}
 	}
 }
 

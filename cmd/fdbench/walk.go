@@ -5,21 +5,29 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"accrual/internal/clock"
 	"accrual/internal/core"
+	"accrual/internal/phi"
 	"accrual/internal/service"
 	"accrual/internal/simple"
 )
 
-// walkPoint is one cell of the evaluation-plane sweep: a registry size
-// crossed with one full-fleet read path. NsPerOp is one complete pass
-// over the whole registry; NsPerProc is that divided by the membership,
-// the number the ≥5× read-path speedup target is stated in.
+// walkDetectors is the detector axis of the walk sweep: the cheapest
+// evaluation (Algorithm 4) and the daemon default (φ under its normal
+// model), whose per-process cost is the log-tail math.
+var walkDetectors = []string{"simple", "phi"}
+
+// walkPoint is one cell of the evaluation-plane sweep: a detector kind
+// crossed with a registry size and one full-fleet read path. NsPerOp is
+// one complete pass over the whole registry; NsPerProc is that divided
+// by the membership.
 type walkPoint struct {
+	Detector    string  `json:"detector"`
 	Procs       int     `json:"procs"`
 	Path        string  `json:"path"`
 	Shards      int     `json:"shards"`
@@ -29,36 +37,58 @@ type walkPoint struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// walkBenchResult is the single BENCH_walk.json artifact: the full
-// size × path matrix, so the sequential-vs-parallel scaling curve is
-// one committed file.
-type walkBenchResult struct {
-	Name     string      `json:"name"`
-	Detector string      `json:"detector"`
-	Points   []walkPoint `json:"points"`
+// walkEnv records the machine a walk sweep ran on.
+type walkEnv struct {
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
 }
 
-// walkMonitor registers procs processes and advances the clock so every
-// entry carries a live eval snapshot — the steady state the walk paths
-// read. Large registries get the 512-shard layout the membership-scale
-// guidance prescribes, so parallel walks have enough segments to spread.
-func walkMonitor(procs int) *service.Monitor {
+// walkBenchResult is the single BENCH_walk.json artifact: the full
+// detector × size × path matrix in one committed file.
+type walkBenchResult struct {
+	Name      string      `json:"name"`
+	Detectors []string    `json:"detectors"`
+	Env       walkEnv     `json:"env"`
+	Points    []walkPoint `json:"points"`
+}
+
+// walkMonitor registers procs processes of the given detector kind,
+// each fed three heartbeats at a jittered 100 ms interval so φ carries
+// a fitted estimate rather than EvalZero, then advances the clock one
+// interval past the last beat: every entry holds a live eval snapshot
+// whose level sits in the healthy, still-accruing range — the steady
+// state the walk paths read. Large registries get the 512-shard layout
+// the membership-scale guidance prescribes.
+func walkMonitor(detector string, procs int) *service.Monitor {
+	const interval = 100 * time.Millisecond
 	shards := 64
 	if procs > 100_000 {
 		shards = 512
 	}
+	var factory service.Factory
+	switch detector {
+	case "phi":
+		factory = func(_ string, start time.Time) core.Detector { return phi.New(start) }
+	default:
+		factory = func(_ string, start time.Time) core.Detector { return simple.New(start) }
+	}
 	clk := clock.NewManual(time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC))
-	mon := service.NewMonitor(clk, func(_ string, start time.Time) core.Detector {
-		return simple.New(start)
-	}, service.WithShardCount(shards))
-	arrived := mon.Now()
+	mon := service.NewMonitor(clk, factory, service.WithShardCount(shards))
+	base := mon.Now()
 	for i := 0; i < procs; i++ {
 		id := fmt.Sprintf("proc-%07d", i)
-		if err := mon.Heartbeat(core.Heartbeat{From: id, Seq: 1, Arrived: arrived}); err != nil {
-			panic(fmt.Sprintf("walk: register %s: %v", id, err))
+		for seq := 1; seq <= 3; seq++ {
+			jitter := time.Duration((i*7+seq*3)%11-5) * time.Millisecond
+			at := base.Add(time.Duration(seq)*interval + jitter)
+			if err := mon.Heartbeat(core.Heartbeat{From: id, Seq: uint64(seq), Arrived: at}); err != nil {
+				panic(fmt.Sprintf("walk: heartbeat %s: %v", id, err))
+			}
 		}
 	}
-	clk.Advance(time.Second)
+	clk.Set(base.Add(4 * interval))
 	return mon
 }
 
@@ -82,14 +112,6 @@ func walkBenchmarks(mon *service.Monitor) []struct {
 				mon.EachLevel(levelFn)
 			}
 		}},
-		{"each_level_parallel", func(b *testing.B) {
-			mon.EachLevelParallel(levelFn) // start the worker pool before the timer
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mon.EachLevelParallel(levelFn)
-			}
-		}},
 		{"top_k", func(b *testing.B) {
 			dst := make([]service.RankedProcess, 0, 64)
 			b.ReportAllocs()
@@ -107,27 +129,41 @@ func walkBenchmarks(mon *service.Monitor) []struct {
 	}
 }
 
-// runWalk sweeps registry sizes across the four full-fleet read paths
-// and writes the whole matrix to BENCH_walk.json in outDir.
+// runWalk sweeps the detector kinds × registry sizes across the three
+// full-fleet read paths and writes the whole matrix to BENCH_walk.json
+// in outDir.
 func runWalk(sizes []int, outDir string) error {
-	res := walkBenchResult{Name: "walk", Detector: "simple"}
-	for _, procs := range sizes {
-		mon := walkMonitor(procs)
-		for _, wb := range walkBenchmarks(mon) {
-			r := testing.Benchmark(wb.fn)
-			nsPerOp := float64(r.T.Nanoseconds()) / float64(r.N)
-			pt := walkPoint{
-				Procs:       procs,
-				Path:        wb.path,
-				Shards:      mon.ShardCount(),
-				NsPerOp:     nsPerOp,
-				NsPerProc:   nsPerOp / float64(procs),
-				AllocsPerOp: r.AllocsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
+	res := walkBenchResult{
+		Name:      "walk",
+		Detectors: walkDetectors,
+		Env: walkEnv{
+			GoVersion:  runtime.Version(),
+			GOOS:       runtime.GOOS,
+			GOARCH:     runtime.GOARCH,
+			NumCPU:     runtime.NumCPU(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+		},
+	}
+	for _, det := range walkDetectors {
+		for _, procs := range sizes {
+			mon := walkMonitor(det, procs)
+			for _, wb := range walkBenchmarks(mon) {
+				r := testing.Benchmark(wb.fn)
+				nsPerOp := float64(r.T.Nanoseconds()) / float64(r.N)
+				pt := walkPoint{
+					Detector:    det,
+					Procs:       procs,
+					Path:        wb.path,
+					Shards:      mon.ShardCount(),
+					NsPerOp:     nsPerOp,
+					NsPerProc:   nsPerOp / float64(procs),
+					AllocsPerOp: r.AllocsPerOp(),
+					BytesPerOp:  r.AllocedBytesPerOp(),
+				}
+				res.Points = append(res.Points, pt)
+				fmt.Printf("walk: detector=%s procs=%d path=%s shards=%d %.0f ns/op, %.2f ns/proc, %d allocs/op\n",
+					pt.Detector, pt.Procs, pt.Path, pt.Shards, pt.NsPerOp, pt.NsPerProc, pt.AllocsPerOp)
 			}
-			res.Points = append(res.Points, pt)
-			fmt.Printf("walk: procs=%d path=%s shards=%d %.0f ns/op, %.2f ns/proc, %d allocs/op\n",
-				pt.Procs, pt.Path, pt.Shards, pt.NsPerOp, pt.NsPerProc, pt.AllocsPerOp)
 		}
 	}
 	data, err := json.MarshalIndent(res, "", "  ")

@@ -442,7 +442,7 @@ func (c *Controller) latenessToLevel(alpha, eta, mu, sd float64) float64 {
 		if sd < 0.001 {
 			sd = 0.001
 		}
-		logTail := stats.LogTail(stats.Normal{Mu: mu, Sigma: sd}, mu+alpha)
+		logTail := stats.Normal{Mu: mu, Sigma: sd}.LogTail(mu + alpha)
 		return -logTail / math.Ln10
 	case DetectorKappa:
 		// Levels approximate the count of missed heartbeats; α seconds

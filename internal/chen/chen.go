@@ -128,15 +128,7 @@ func (d *Detector) ExpectedArrival() (time.Time, bool) {
 // level ramps up if nothing ever arrives (preserving Accruement from the
 // very beginning).
 func (d *Detector) Suspicion(now time.Time) core.Level {
-	ea, ok := d.ExpectedArrival()
-	if !ok {
-		ea = d.start.Add(d.interval)
-	}
-	late := now.Sub(ea)
-	if late < 0 {
-		return 0
-	}
-	return core.Level(float64(late) / float64(d.unit)).Quantize(d.eps)
+	return d.EvalSnapshot().Level(now)
 }
 
 // LastSeq returns the largest sequence number received.

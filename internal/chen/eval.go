@@ -18,7 +18,7 @@ func (d *Detector) EvalSnapshot() core.EvalSnapshot {
 	}
 	return core.EvalSnapshot{
 		Kind: core.EvalLateness,
-		Ref:  ea.UnixNano(),
+		Ref:  core.EvalNanos(ea),
 		P1:   float64(d.unit),
 		Eps:  d.eps,
 	}

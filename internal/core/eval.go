@@ -21,9 +21,10 @@ import (
 // input). Every detector in this module reduces to a handful of scalar
 // parameters between arrivals — φ and Bertier to (mean, stddev) /
 // (EA, margin), Chen to EA, Algorithm 4 to t_last, κ to the estimate
-// feeding its contribution curve — so a reader holding those scalars
-// can reproduce Suspicion(now) exactly, for any now, with pure
-// arithmetic.
+// feeding its contribution curve — so those scalars plus Level are the
+// detector's interpretation function. The detectors define Suspicion
+// through it, and readers holding the scalars evaluate it for any now
+// with pure arithmetic.
 
 // EvalKind discriminates the evaluator shape of an EvalSnapshot.
 type EvalKind uint32
@@ -70,28 +71,36 @@ const (
 
 // EvalSnapshot is a compact immutable parameter set sufficient to
 // evaluate a detector's suspicion level at any instant at or after the
-// snapshot was taken, without locks and without the detector.
+// snapshot was taken, without locks and without the detector. It is
+// the detector's interpretation function, not a copy of it: every
+// in-tree detector's Suspicion(now) is EvalSnapshot().Level(now).
 //
 // The meaning of Ref, P1 and P2 depends on Kind (see the constants).
-// Ref is always an instant in Unix nanoseconds; readers compare it
-// against now.UnixNano(), i.e. wall-clock arithmetic. Under the manual
-// clocks of the simulator and the test suites this is bit-identical to
-// the detector's own time.Time arithmetic; under the real clock the two
-// may differ by the wall-versus-monotonic reading of one clock step.
+// Ref is always an instant on the EvalNanos timeline: nanoseconds since
+// a process-local epoch, measured monotonically whenever the instant
+// carries a monotonic clock reading. Level measures now the same way,
+// so a wall-clock step (an NTP correction, a VM resume) moves neither
+// side and no level in the fleet jumps. Instants without a monotonic
+// reading — the manual clocks of the simulator and the test suites,
+// times restored from persisted state — fall back to wall arithmetic
+// against the epoch's wall reading. Under the manual clocks that is
+// exactly time.Time arithmetic between the two instants; a restored
+// t_last paired with a real-clock now is off by any wall step since
+// the epoch, until the next heartbeat replaces it.
 //
 // Snapshots are plain values: publishing one must not allocate, so a
 // detector's EvalSnapshot method returns it by value and any Aux hook
 // is allocated once at construction, never per publication.
 type EvalSnapshot struct {
 	Kind EvalKind
-	// Ref is the reference instant in Unix nanoseconds: t_last for
+	// Ref is the reference instant as EvalNanos: t_last for
 	// elapsed-time kinds, EA for lateness kinds.
 	Ref int64
 	// P1 and P2 are the kind-specific scalar parameters.
 	P1 float64
 	P2 float64
 	// Eps is the detector's level resolution ε (Definition 1), applied
-	// by Level exactly as the detector's own Suspicion applies it.
+	// by Level.
 	Eps Level
 	// Aux is the evaluator hook of EvalAuxKind snapshots, nil
 	// otherwise. Implementations must be immutable once published and
@@ -102,17 +111,17 @@ type EvalSnapshot struct {
 
 // EvalAux evaluates snapshot kinds whose level computation needs state
 // beyond the POD parameters — κ's contribution curve is the in-tree
-// case. An implementation must be a pure function of (s, now): it runs
-// concurrently on arbitrary reader goroutines with no synchronisation.
+// case. now is an instant on the EvalNanos timeline. An implementation
+// must be a pure function of (s, now): it runs concurrently on
+// arbitrary reader goroutines with no synchronisation.
 type EvalAux interface {
-	EvalLevel(s EvalSnapshot, now time.Time) Level
+	EvalLevel(s EvalSnapshot, now int64) Level
 }
 
 // EvalSnapshotter is implemented by detectors that publish eval
-// snapshots. The contract: for any now at or after the last state
-// change, s.Level(now) must equal Suspicion(now) to within 1e-9 — the
-// snapshot is the detector's interpretation function with the
-// monitoring state frozen in, not an approximation of it.
+// snapshots: the detector's interpretation function with its
+// monitoring state frozen in. For the in-tree detectors Suspicion is
+// defined through the snapshot, so the two cannot disagree.
 //
 // EvalSnapshot is called under the same external synchronisation as
 // Report and Suspicion (the registry's entry lock); it must not
@@ -122,34 +131,60 @@ type EvalSnapshotter interface {
 	EvalSnapshot() EvalSnapshot
 }
 
+// evalEpoch anchors the EvalNanos timeline. It carries a monotonic
+// reading, so differences against real-clock instants are monotonic.
+var evalEpoch = time.Now()
+
+// EvalNanos returns t as nanoseconds since the process-local eval
+// epoch — the timeline EvalSnapshot.Ref lives on. The conversion is
+// t.Sub(epoch): monotonic when t carries a monotonic reading, wall
+// arithmetic otherwise. Wall-only instants convert exactly within ±292
+// years of the epoch — the 2005-era manual clocks of the simulator and
+// tests are well inside; farther ones, such as the zero Time, saturate.
+func EvalNanos(t time.Time) int64 { return int64(t.Sub(evalEpoch)) }
+
 // Level evaluates the snapshot at now. It is pure, lock-free and
-// allocation-free for every kind except EvalPhiErlang (whose
-// log-sum-exp scratch allocates, exactly as the live φ Erlang path
-// does).
-func (s EvalSnapshot) Level(now time.Time) Level {
+// allocation-free for every kind.
+func (s EvalSnapshot) Level(now time.Time) Level { return s.LevelAt(EvalNanos(now)) }
+
+// LevelAt is Level at an instant already converted with EvalNanos —
+// the form fleet walks use, converting their one clock reading once
+// rather than per process.
+func (s EvalSnapshot) LevelAt(now int64) Level {
+	var lvl float64
 	switch s.Kind {
 	case EvalElapsed, EvalLateness:
-		d := now.UnixNano() - s.Ref
+		d := now - s.Ref
 		if d < 0 {
 			return 0
 		}
-		return Level(float64(d) / s.P1).Quantize(s.Eps)
+		lvl = float64(d) / s.P1
 	case EvalLatenessMargin:
-		d := now.UnixNano() - s.Ref
-		if d < 0 {
-			d = 0
-		}
-		lateness := float64(d) / s.P2
-		if lateness <= 0 {
+		d := now - s.Ref
+		if d <= 0 {
 			return 0
 		}
-		return Level(lateness / s.P1).Quantize(s.Eps)
-	case EvalPhiNormal:
-		return s.phiLevel(now, stats.Normal{Mu: s.P1, Sigma: s.P2})
-	case EvalPhiExponential:
-		return s.phiLevel(now, stats.Exponential{MeanValue: s.P1})
-	case EvalPhiErlang:
-		return s.phiLevel(now, stats.Erlang{K: int(s.P1), Lambda: s.P2})
+		lvl = float64(d) / s.P2 / s.P1
+	case EvalPhiNormal, EvalPhiExponential, EvalPhiErlang:
+		// φ = −log₁₀ P_later(elapsed), computed in log space so it keeps
+		// accruing far past the point where P_later underflows.
+		elapsed := time.Duration(now - s.Ref).Seconds()
+		if elapsed <= 0 {
+			return 0
+		}
+		var logTail float64
+		switch s.Kind {
+		case EvalPhiNormal:
+			logTail = stats.Normal{Mu: s.P1, Sigma: s.P2}.LogTail(elapsed)
+		case EvalPhiExponential:
+			logTail = stats.Exponential{MeanValue: s.P1}.LogTail(elapsed)
+		default:
+			logTail = stats.Erlang{K: int(s.P1), Lambda: s.P2}.LogTail(elapsed)
+		}
+		lvl = -logTail / math.Ln10
+		if lvl <= 0 { // also normalises the −0.0 of logTail == 0
+			return 0
+		}
 	case EvalAuxKind:
 		if s.Aux == nil {
 			return 0
@@ -158,20 +193,5 @@ func (s EvalSnapshot) Level(now time.Time) Level {
 	default: // EvalNone, EvalZero
 		return 0
 	}
-}
-
-// phiLevel replicates phi.Detector.Phi + Suspicion over the published
-// distribution parameters: elapsed time in seconds through the same
-// Duration.Seconds() rounding, the same log-space tail, the same
-// −log₁₀ conversion and non-positive clamp.
-func (s EvalSnapshot) phiLevel(now time.Time, dist stats.LogTailer) Level {
-	elapsed := time.Duration(now.UnixNano() - s.Ref).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	phi := -dist.LogTail(elapsed) / math.Ln10
-	if phi <= 0 {
-		return 0
-	}
-	return Level(phi).Quantize(s.Eps)
+	return Level(lvl).Quantize(s.Eps)
 }

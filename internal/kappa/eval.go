@@ -8,9 +8,8 @@ import (
 
 var _ core.EvalSnapshotter = (*Detector)(nil)
 
-// snapEval is the κ detector's core.EvalAux hook: it re-runs the
-// contribution sum of Suspicion from published parameters instead of
-// detector state. One snapEval is allocated per detector at
+// snapEval is the κ detector's core.EvalAux hook: the contribution sum
+// over the due-time grid. One snapEval is allocated per detector at
 // construction (never per publication) and is immutable afterwards —
 // the contribution function itself is configuration, fixed at New, so
 // sharing it across lock-free readers is safe.
@@ -18,18 +17,19 @@ type snapEval struct {
 	contrib Contribution
 }
 
-// EvalLevel replicates Detector.Suspicion over the published
-// parameters: P1/P2 carry the inter-arrival estimate (mean and stddev,
-// nanoseconds), Ref the last arrival. The due-time grid walk, the
-// saturation shortcut and the quantisation are the same code shape as
-// the live path, so the two agree wherever their clock arithmetic does.
-func (a *snapEval) EvalLevel(s core.EvalSnapshot, now time.Time) core.Level {
+// EvalLevel is the κ level: P1/P2 carry the inter-arrival estimate
+// (mean and stddev, nanoseconds), Ref the last arrival. Heartbeat j
+// (1-based after the last received one) starts being awaited at
+// due_j = Ref + (j−1)·mean and is due once due_j <= now. Heartbeats
+// missed for longer than the contribution's saturation delay count as
+// exactly 1 without being enumerated, so queries stay
+// O(saturation/interval) even for long-crashed processes.
+func (a *snapEval) EvalLevel(s core.EvalSnapshot, now int64) core.Level {
 	est := Estimate{Mean: time.Duration(s.P1), StdDev: time.Duration(s.P2)}
-	elapsed := time.Duration(now.UnixNano() - s.Ref)
+	elapsed := time.Duration(now - s.Ref)
 	if elapsed <= 0 || est.Mean <= 0 {
 		return 0
 	}
-	base := time.Unix(0, s.Ref)
 	m := int64(elapsed/est.Mean) + 1
 	sat := a.contrib.Saturation(est)
 	var nSat int64
@@ -41,8 +41,7 @@ func (a *snapEval) EvalLevel(s core.EvalSnapshot, now time.Time) core.Level {
 	}
 	sum := float64(nSat)
 	for j := nSat + 1; j <= m; j++ {
-		due := base.Add(time.Duration(j-1) * est.Mean)
-		sum += a.contrib.Value(now.Sub(due), est)
+		sum += a.contrib.Value(elapsed-time.Duration(j-1)*est.Mean, est)
 	}
 	return core.Level(sum).Quantize(s.Eps)
 }
@@ -65,7 +64,7 @@ func (d *Detector) EvalSnapshot() core.EvalSnapshot {
 	}
 	return core.EvalSnapshot{
 		Kind: core.EvalAuxKind,
-		Ref:  d.last.UnixNano(),
+		Ref:  core.EvalNanos(d.last),
 		P1:   float64(est.Mean),
 		P2:   float64(est.StdDev),
 		Eps:  d.eps,

@@ -13,15 +13,15 @@ var _ core.EvalSnapshotter = (*Detector)(nil)
 // (now − t_last) given the fitted inter-arrival distribution, so the
 // distribution parameters — the same (mean, stddev)-shaped estimate the
 // original φ paper computes φ from — plus t_last and ε are the whole
-// state. The fit mirrors dist() exactly, including the σ floor, the
-// acceptable-pause shift and the Erlang moment fit, but publishes the
-// scalar parameters instead of boxing a stats.Dist.
+// state. This is where the fit lives: the σ floor, the acceptable-pause
+// shift and the Erlang moment fit (k ≈ mean²/variance, clamped to
+// [1, maxErlangShape]) are applied here and nowhere else.
 func (d *Detector) EvalSnapshot() core.EvalSnapshot {
 	if d.window.Len() == 0 {
 		return core.EvalSnapshot{Kind: core.EvalZero}
 	}
 	mean := d.window.Mean() + d.acceptablePause
-	ref := d.last.UnixNano()
+	ref := core.EvalNanos(d.last)
 	switch d.model {
 	case ModelExponential:
 		if mean <= 0 {

@@ -226,18 +226,22 @@ func TestModelString(t *testing.T) {
 	}
 }
 
+// erlangFit reads the Erlang model the detector's eval snapshot
+// publishes: P1 is the fitted shape k, P2 the rate λ.
+func erlangFit(t *testing.T, d *Detector) stats.Erlang {
+	t.Helper()
+	s := d.EvalSnapshot()
+	if s.Kind != core.EvalPhiErlang {
+		t.Fatalf("snapshot kind = %v, want EvalPhiErlang", s.Kind)
+	}
+	return stats.Erlang{K: int(s.P1), Lambda: s.P2}
+}
+
 func TestPhiErlangModel(t *testing.T) {
 	d := New(start, WithModel(ModelErlang))
 	last := feedRegular(d, 500, 0.02, 12)
 	// Moment matching: k ~ mean^2/var = (0.1/0.02)^2 = 25.
-	dist, ok := d.dist()
-	if !ok {
-		t.Fatal("no estimate")
-	}
-	er, ok := dist.(stats.Erlang)
-	if !ok {
-		t.Fatalf("dist = %T, want Erlang", dist)
-	}
+	er := erlangFit(t, d)
 	if er.K < 15 || er.K > 40 {
 		t.Errorf("fitted shape k = %d, want ~25", er.K)
 	}
@@ -260,11 +264,7 @@ func TestPhiErlangShapeClamps(t *testing.T) {
 	// overflowing.
 	d := New(start, WithModel(ModelErlang), WithMinStdDev(time.Microsecond))
 	feedRegular(d, 300, 0.00001, 13)
-	dist, ok := d.dist()
-	if !ok {
-		t.Fatal("no estimate")
-	}
-	er := dist.(stats.Erlang)
+	er := erlangFit(t, d)
 	if er.K != maxErlangShape {
 		t.Errorf("k = %d, want cap %d", er.K, maxErlangShape)
 	}
@@ -277,7 +277,7 @@ func TestPhiErlangShapeClamps(t *testing.T) {
 		at = at.Add(gap)
 		d2.Report(core.Heartbeat{From: "p", Seq: uint64(i), Arrived: at})
 	}
-	er2 := func() stats.Erlang { dd, _ := d2.dist(); return dd.(stats.Erlang) }()
+	er2 := erlangFit(t, d2)
 	if er2.K > 3 {
 		t.Errorf("noisy k = %d, want small", er2.K)
 	}
@@ -299,12 +299,12 @@ func TestPhiDistDegenerateGuards(t *testing.T) {
 	// only with pathological feeds) must not produce a distribution.
 	d := New(start, WithModel(ModelExponential))
 	d.window.Push(0)
-	if _, ok := d.dist(); ok {
+	if s := d.EvalSnapshot(); s.Kind != core.EvalZero {
 		t.Error("zero-mean exponential estimate should be rejected")
 	}
 	d2 := New(start, WithModel(ModelErlang))
 	d2.window.Push(0)
-	if _, ok := d2.dist(); ok {
+	if s := d2.EvalSnapshot(); s.Kind != core.EvalZero {
 		t.Error("zero-mean erlang estimate should be rejected")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -96,22 +95,15 @@ func TestSnapshotLevelsMatchLive(t *testing.T) {
 	}
 }
 
-// compareSnapshotToLive walks the fleet through both snapshot read paths
-// (sequential and parallel) and cross-checks every level against the
-// live detector evaluated under the entry lock at the same instant. The
-// manual clock is frozen for the duration, so any disagreement is a
-// publication bug, not clock skew.
+// compareSnapshotToLive walks the fleet through the snapshot read path
+// and cross-checks every level against the live detector evaluated
+// under the entry lock at the same instant. The manual clock is frozen
+// for the duration, so any disagreement is a publication bug — a stale
+// or torn snapshot — not clock skew.
 func compareSnapshotToLive(t *testing.T, m *Monitor, now time.Time) {
 	t.Helper()
-	seqLevels := make(map[string]core.Level)
-	m.EachLevel(func(id string, lvl core.Level) { seqLevels[id] = lvl })
-	var parMu sync.Mutex
-	parLevels := make(map[string]core.Level, len(seqLevels))
-	m.EachLevelParallel(func(id string, lvl core.Level) {
-		parMu.Lock()
-		parLevels[id] = lvl
-		parMu.Unlock()
-	})
+	levels := make(map[string]core.Level)
+	m.EachLevel(func(id string, lvl core.Level) { levels[id] = lvl })
 	checked := 0
 	for i := range m.shards {
 		sh := &m.shards[i]
@@ -121,15 +113,13 @@ func compareSnapshotToLive(t *testing.T, m *Monitor, now time.Time) {
 			e.mu.Lock()
 			live := e.det.Suspicion(now)
 			e.mu.Unlock()
-			for path, got := range map[string]map[string]core.Level{"EachLevel": seqLevels, "EachLevelParallel": parLevels} {
-				lvl, ok := got[id]
-				if !ok {
-					t.Fatalf("%s missed process %q", path, id)
-				}
-				if diff := math.Abs(float64(lvl) - float64(live)); diff > 1e-9 {
-					t.Fatalf("%s level for %q = %v, live Suspicion = %v (diff %g)",
-						path, id, lvl, live, diff)
-				}
+			lvl, ok := levels[id]
+			if !ok {
+				t.Fatalf("EachLevel missed process %q", id)
+			}
+			if diff := math.Abs(float64(lvl) - float64(live)); diff > 1e-9 {
+				t.Fatalf("EachLevel level for %q = %v, live Suspicion = %v (diff %g)",
+					id, lvl, live, diff)
 			}
 			checked++
 		}
@@ -138,8 +128,7 @@ func compareSnapshotToLive(t *testing.T, m *Monitor, now time.Time) {
 	if checked == 0 {
 		t.Fatal("no registered processes to compare")
 	}
-	if len(seqLevels) != checked || len(parLevels) != checked {
-		t.Fatalf("walk visited %d/%d (sequential) and %d/%d (parallel) processes",
-			len(seqLevels), checked, len(parLevels), checked)
+	if len(levels) != checked {
+		t.Fatalf("walk visited %d/%d processes", len(levels), checked)
 	}
 }

@@ -212,6 +212,12 @@ type entryMeta struct {
 	group string
 }
 
+// info is the ProcessInfo of the binding with level lvl and the
+// last-arrival stamp last (UnixNano) read with it.
+func (meta *entryMeta) info(lvl core.Level, last int64) ProcessInfo {
+	return ProcessInfo{ID: meta.id, Group: meta.group, Level: lvl, LastArrival: time.Unix(0, last)}
+}
+
 // evalAuxBox wraps the snapshot's EvalAux hook so the two-word interface
 // value can be published through a single atomic pointer.
 type evalAuxBox struct{ aux core.EvalAux }
@@ -300,18 +306,17 @@ func (e *entry) loadEval() (meta *entryMeta, snap core.EvalSnapshot, last int64,
 	return meta, snap, last, true
 }
 
-// lockedLevel evaluates the live detector under e.mu — the fallback for
-// detectors that do not publish snapshots. ok is false when the slot no
-// longer holds the binding identified by meta.
+// lockedLevel evaluates the live detector under e.mu — the one fallback
+// for detectors that do not publish snapshots (a loaded snapshot of
+// kind core.EvalNone), used by walkShard and snapLevel alike. ok is
+// false when the slot no longer holds the binding identified by meta.
 func (e *entry) lockedLevel(meta *entryMeta, now time.Time) (core.Level, bool) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.meta.Load() != meta {
-		e.mu.Unlock()
 		return 0, false
 	}
-	l := e.det.Suspicion(now)
-	e.mu.Unlock()
-	return l, true
+	return e.det.Suspicion(now), true
 }
 
 // report feeds one heartbeat to the detector and reports whether it was
@@ -490,10 +495,8 @@ type Monitor struct {
 	// leave it nil.
 	onShardLock func(shard uint32, write bool)
 
-	// walk is the persistent worker pool behind EachLevelParallel; coal
-	// is the single-flight coalescer behind the Shared walk variants.
-	// Both live in walk.go.
-	walk walkPool
+	// coal is the single-flight coalescer behind the Shared walk
+	// variants (walk.go).
 	coal walkCoalescer
 }
 
@@ -816,89 +819,10 @@ func (e *entry) snapLevel(id string, now time.Time) (core.Level, bool) {
 	if !ok || meta.id != id {
 		return 0, false
 	}
-	if snap.Kind != core.EvalNone {
-		return snap.Level(now), true
+	if snap.Kind == core.EvalNone {
+		return e.lockedLevel(meta, now)
 	}
-	return e.lockedLevel(meta, now)
-}
-
-// walkSpan captures the shard's slab extent for lock-free iteration:
-// the chunk table and the high-water slot count. The shard lock is held
-// only for the two-field copy — chunks are append-only and never moved,
-// so the captured prefix stays valid for the monitor's lifetime; slots
-// bound after the capture are simply not visited this pass (the same
-// membership semantics the locked walk had).
-func (sh *shard) walkSpan() ([][]entry, uint32) {
-	sh.mu.RLock()
-	chunks, n := sh.slab.chunks, sh.slab.next
-	sh.mu.RUnlock()
-	return chunks, n
-}
-
-// walkShardLevels evaluates every bound slot of one shard at now,
-// straight off the slab arrays: no shard lock, no entry locks, no map
-// iteration — each slot is one seqlock read plus a pure snapshot
-// evaluation. Detectors that do not publish snapshots are evaluated
-// under their entry lock, preserving the old semantics.
-func walkShardLevels(sh *shard, now time.Time, fn func(id string, lvl core.Level)) {
-	chunks, n := sh.walkSpan()
-	remaining := int(n)
-	for _, chunk := range chunks {
-		cn := slabChunkSize
-		if remaining < cn {
-			cn = remaining
-		}
-		for j := 0; j < cn; j++ {
-			e := &chunk[j]
-			meta, snap, _, ok := e.loadEval()
-			if !ok {
-				continue // free slot
-			}
-			var lvl core.Level
-			if snap.Kind != core.EvalNone {
-				lvl = snap.Level(now)
-			} else if lvl, ok = e.lockedLevel(meta, now); !ok {
-				continue // unbound mid-walk
-			}
-			fn(meta.id, lvl)
-		}
-		remaining -= cn
-		if remaining <= 0 {
-			break
-		}
-	}
-}
-
-// walkShardInfos is walkShardLevels plus the identity and last-arrival
-// surface digests are built from; one seqlock read yields a consistent
-// (group, level, lastArrival) triple per process.
-func walkShardInfos(sh *shard, now time.Time, fn func(info ProcessInfo)) {
-	chunks, n := sh.walkSpan()
-	remaining := int(n)
-	for _, chunk := range chunks {
-		cn := slabChunkSize
-		if remaining < cn {
-			cn = remaining
-		}
-		for j := 0; j < cn; j++ {
-			e := &chunk[j]
-			meta, snap, last, ok := e.loadEval()
-			if !ok {
-				continue
-			}
-			var lvl core.Level
-			if snap.Kind != core.EvalNone {
-				lvl = snap.Level(now)
-			} else if lvl, ok = e.lockedLevel(meta, now); !ok {
-				continue
-			}
-			fn(ProcessInfo{ID: meta.id, Group: meta.group, Level: lvl, LastArrival: time.Unix(0, last)})
-		}
-		remaining -= cn
-		if remaining <= 0 {
-			break
-		}
-	}
+	return snap.Level(now), true
 }
 
 // EachLevel calls fn with every monitored process and its suspicion level
@@ -908,7 +832,9 @@ func walkShardInfos(sh *shard, now time.Time, fn func(info ProcessInfo)) {
 func (m *Monitor) EachLevel(fn func(id string, lvl core.Level)) {
 	now := m.clk.Now()
 	for i := range m.shards {
-		walkShardLevels(&m.shards[i], now, fn)
+		walkShard(&m.shards[i], now, func(meta *entryMeta, lvl core.Level, _ int64) {
+			fn(meta.id, lvl)
+		})
 	}
 	m.noteWalkRun()
 }
@@ -934,7 +860,9 @@ type ProcessInfo struct {
 func (m *Monitor) EachInfo(fn func(info ProcessInfo)) {
 	now := m.clk.Now()
 	for i := range m.shards {
-		walkShardInfos(&m.shards[i], now, fn)
+		walkShard(&m.shards[i], now, func(meta *entryMeta, lvl core.Level, last int64) {
+			fn(meta.info(lvl, last))
+		})
 	}
 	m.noteWalkRun()
 }

@@ -42,39 +42,26 @@ func (s MonitorState) Len() int { return len(s.Procs) }
 func (m *Monitor) ExportState() MonitorState {
 	var procs []ProcessState
 	for i := range m.shards {
-		chunks, n := m.shards[i].walkSpan()
-		remaining := int(n)
-		for _, chunk := range chunks {
-			cn := slabChunkSize
-			if remaining < cn {
-				cn = remaining
+		m.shards[i].eachSlot(func(e *entry) {
+			meta := e.meta.Load()
+			if meta == nil {
+				return
 			}
-			for j := 0; j < cn; j++ {
-				e := &chunk[j]
-				meta := e.meta.Load()
-				if meta == nil {
-					continue
-				}
-				e.mu.Lock()
-				if e.meta.Load() != meta {
-					e.mu.Unlock()
-					continue // deregistered since the slab scan
-				}
-				s, ok := e.det.(core.Snapshotter)
-				var st core.State
-				if ok {
-					st = s.SnapshotState()
-				}
+			e.mu.Lock()
+			if e.meta.Load() != meta {
 				e.mu.Unlock()
-				if ok {
-					procs = append(procs, ProcessState{ID: meta.id, State: st})
-				}
+				return // deregistered since the slab scan
 			}
-			remaining -= cn
-			if remaining <= 0 {
-				break
+			s, ok := e.det.(core.Snapshotter)
+			var st core.State
+			if ok {
+				st = s.SnapshotState()
 			}
-		}
+			e.mu.Unlock()
+			if ok {
+				procs = append(procs, ProcessState{ID: meta.id, State: st})
+			}
+		})
 	}
 	sort.Slice(procs, func(i, j int) bool { return procs[i].ID < procs[j].ID })
 	return MonitorState{Procs: procs}

@@ -63,28 +63,15 @@ type TuneProcess struct {
 // the rest alone.
 func (m *Monitor) EachTuneInfo(fn func(p TuneProcess)) {
 	for i := range m.shards {
-		chunks, n := m.shards[i].walkSpan()
-		remaining := int(n)
-		for _, chunk := range chunks {
-			cn := slabChunkSize
-			if remaining < cn {
-				cn = remaining
+		m.shards[i].eachSlot(func(e *entry) {
+			meta := e.meta.Load()
+			if meta == nil {
+				return
 			}
-			for j := 0; j < cn; j++ {
-				e := &chunk[j]
-				meta := e.meta.Load()
-				if meta == nil {
-					continue
-				}
-				if info, retunable, ok := e.tuneInfo(meta); ok && retunable {
-					fn(TuneProcess{ID: meta.id, Group: meta.group, Info: info})
-				}
+			if info, retunable, ok := e.tuneInfo(meta); ok && retunable {
+				fn(TuneProcess{ID: meta.id, Group: meta.group, Info: info})
 			}
-			remaining -= cn
-			if remaining <= 0 {
-				break
-			}
-		}
+		})
 	}
 }
 
@@ -98,34 +85,21 @@ func (m *Monitor) EachTuneInfo(fn func(p TuneProcess)) {
 // allocates nothing when every detector accepts the tuning.
 func (m *Monitor) Retune(t core.Tuning) (tuned, skipped int, err error) {
 	for i := range m.shards {
-		chunks, n := m.shards[i].walkSpan()
-		remaining := int(n)
-		for _, chunk := range chunks {
-			cn := slabChunkSize
-			if remaining < cn {
-				cn = remaining
+		m.shards[i].eachSlot(func(e *entry) {
+			meta := e.meta.Load()
+			if meta == nil {
+				return
 			}
-			for j := 0; j < cn; j++ {
-				e := &chunk[j]
-				meta := e.meta.Load()
-				if meta == nil {
-					continue
-				}
-				applied, ok, rerr := e.retuneBy(meta, t)
-				switch {
-				case rerr != nil:
-					err = errors.Join(err, rerr)
-				case ok && applied:
-					tuned++
-				default:
-					skipped++
-				}
+			applied, ok, rerr := e.retuneBy(meta, t)
+			switch {
+			case rerr != nil:
+				err = errors.Join(err, rerr)
+			case ok && applied:
+				tuned++
+			default:
+				skipped++
 			}
-			remaining -= cn
-			if remaining <= 0 {
-				break
-			}
-		}
+		})
 	}
 	return tuned, skipped, err
 }

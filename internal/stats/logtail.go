@@ -2,23 +2,13 @@ package stats
 
 import "math"
 
-// LogTailer is implemented by distributions that can compute the natural
-// logarithm of their tail function directly. The φ detector (§5.3) needs
-// ln P_later far into the upper tail, where Tail(x) underflows to zero in
-// float64 but its logarithm is still perfectly representable — without
-// this, the suspicion level of a crashed process would saturate instead of
-// accruing, violating Property 1 in practice.
-type LogTailer interface {
-	// LogTail returns ln P(X > x). It is −Inf where the tail is exactly
-	// zero and 0 where the tail is 1.
-	LogTail(x float64) float64
-}
-
-var (
-	_ LogTailer = Normal{}
-	_ LogTailer = Exponential{}
-	_ LogTailer = Erlang{}
-)
+// The LogTail methods compute the natural logarithm of a distribution's
+// tail function directly. The φ detector (§5.3) needs ln P_later far
+// into the upper tail, where Tail(x) underflows to zero in float64 but
+// its logarithm is still perfectly representable — without them, the
+// suspicion level of a crashed process would saturate instead of
+// accruing, violating Property 1 in practice. Each returns −Inf where
+// the tail is exactly zero and 0 where the tail is 1.
 
 // LogTail returns ln P(X > x) for the normal distribution. For moderate
 // arguments it uses erfc directly; past the point where erfc would
@@ -55,8 +45,10 @@ func (d Exponential) LogTail(x float64) float64 {
 }
 
 // LogTail returns ln P(X > x) for the Erlang distribution, computed in
-// log space with a log-sum-exp over the truncated Poisson series so that
-// it remains finite for arbitrarily large x.
+// log space with a streaming log-sum-exp over the truncated Poisson
+// series, so it remains finite for arbitrarily large x and needs no
+// scratch: the running maximum rescales the partial sum whenever a
+// larger term arrives, one exp per term either way.
 func (d Erlang) LogTail(x float64) float64 {
 	if x <= 0 {
 		return 0
@@ -66,31 +58,18 @@ func (d Erlang) LogTail(x float64) float64 {
 	}
 	lx := d.Lambda * x
 	loglx := math.Log(lx)
-	// log term_n = n·ln(λx) − lnΓ(n+1)
-	maxLog := math.Inf(-1)
-	logs := make([]float64, d.K)
+	// log term_n = n·ln(λx) − lnΓ(n+1); term_0 = 0 seeds the sum.
+	maxLog, sum := 0.0, 1.0
 	lgamma := 0.0 // ln(0!) = 0
-	for n := 0; n < d.K; n++ {
-		if n > 0 {
-			lgamma += math.Log(float64(n))
+	for n := 1; n < d.K; n++ {
+		lgamma += math.Log(float64(n))
+		lg := float64(n)*loglx - lgamma
+		if lg > maxLog {
+			sum = sum*math.Exp(maxLog-lg) + 1
+			maxLog = lg
+		} else {
+			sum += math.Exp(lg - maxLog)
 		}
-		logs[n] = float64(n)*loglx - lgamma
-		if logs[n] > maxLog {
-			maxLog = logs[n]
-		}
-	}
-	sum := 0.0
-	for _, lg := range logs {
-		sum += math.Exp(lg - maxLog)
 	}
 	return -lx + maxLog + math.Log(sum)
-}
-
-// LogTail returns the log of the tail of dist, using the LogTailer fast
-// path when available and falling back to ln(Tail(x)) otherwise.
-func LogTail(dist Dist, x float64) float64 {
-	if lt, ok := dist.(LogTailer); ok {
-		return lt.LogTail(x)
-	}
-	return math.Log(dist.Tail(x))
 }

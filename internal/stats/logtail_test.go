@@ -111,16 +111,3 @@ func TestErlangLogTailDeep(t *testing.T) {
 		t.Error("LogTail(0) should be 0")
 	}
 }
-
-func TestLogTailDispatch(t *testing.T) {
-	// Distributions without the fast path fall back to log(Tail).
-	u := Uniform{A: 0, B: 2}
-	if got, want := LogTail(u, 1), math.Log(0.5); !almostEqual(got, want, 1e-12) {
-		t.Errorf("fallback LogTail = %v, want %v", got, want)
-	}
-	// Fast path dispatches.
-	n := Normal{Mu: 0, Sigma: 1}
-	if got, want := LogTail(n, 1), n.LogTail(1); got != want {
-		t.Errorf("dispatch mismatch: %v vs %v", got, want)
-	}
-}
