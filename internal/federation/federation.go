@@ -9,7 +9,7 @@
 // than the known state, and merged process entries are owned by
 // whichever origin reported the most recent heartbeat arrival.
 //
-// The digest build runs on the registry's generation-guarded slab walk
+// The digest build runs on the registry's lock-free slab walk
 // (service.Monitor.EachInfo): zero allocations in steady state and no
 // global pause, so federating a daemon does not perturb the zero-alloc
 // heartbeat ingest path it sits next to. Remote state decays rather than
@@ -110,9 +110,7 @@ type Federation struct {
 	clk clock.Clock
 	fed *telemetry.FederationCounters
 
-	// mu guards everything below plus the build scratch; lock order is
-	// mu → walk coalescer → registry shard locks (via EachInfoShared),
-	// never the reverse.
+	// mu guards everything below plus the build scratch.
 	mu      sync.Mutex
 	rng     interface{ IntN(int) int }
 	seq     uint64
@@ -328,19 +326,17 @@ func groupRank(a, b transport.DigestGroup) int {
 // buildSummary walks the registry into the round scratch: f.top holds
 // the top-k suspects most suspected first, f.groups the per-group
 // rollups sorted by name, f.procs the membership count. Caller holds
-// f.mu. Steady-state allocation-free: the walk is the registry's pooled
-// generation-guarded scan and every slice and map here is reused.
+// f.mu. Steady-state allocation-free: the walk is the registry's
+// lock-free slab scan and every slice and map here is reused. EachInfo
+// derives LastArrival from its own clock reading on the monotonic
+// timeline, so a wall-clock step does not move the suspect ages.
 func (f *Federation) buildSummary(now time.Time) {
 	f.top = f.top[:0]
 	f.groups = f.groups[:0]
 	clear(f.groupIdx)
 	f.procs = 0
 	f.buildNow = now
-	// Joining the coalesced walk lets a digest round that fires together
-	// with the QoS sampler share one registry pass; observe touches only
-	// the build scratch under f.mu, which no other shared-walk consumer
-	// acquires, so executing it on the walk leader's goroutine is safe.
-	f.mon.EachInfoShared(f.observe)
+	f.mon.EachInfo(f.observe)
 	slices.SortFunc(f.top, suspectRank)
 	slices.SortFunc(f.groups, groupRank)
 	if len(f.groups) > transport.MaxDigestGroups {

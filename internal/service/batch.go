@@ -8,15 +8,15 @@ import (
 )
 
 // batchRef is one heartbeat of a batch with its precomputed id hash and,
-// once resolved, its registry slot handle (entry + binding generation).
+// once resolved, its registry slot handle (entry + binding identity).
 // Hashing up front means the sort comparator and the shard grouping
 // never re-hash, and the resolved handle lets one registry probe serve
 // both the staleness report and the telemetry stripe.
 type batchRef struct {
-	h   uint32
-	gen uint64
-	e   *entry
-	hb  core.Heartbeat
+	h    uint32
+	meta *entryMeta
+	e    *entry
+	hb   core.Heartbeat
 }
 
 var batchRefPool = sync.Pool{
@@ -85,7 +85,7 @@ func (m *Monitor) ingestShardRun(si uint32, refs []batchRef) (accepted, rejected
 	sh.mu.RLock()
 	missing := 0
 	for i := range refs {
-		if refs[i].e, refs[i].gen = sh.get(refs[i].hb.From); refs[i].e == nil {
+		if refs[i].e, refs[i].meta = sh.get(refs[i].hb.From); refs[i].e == nil {
 			missing++
 		}
 	}
@@ -97,14 +97,14 @@ func (m *Monitor) ingestShardRun(si uint32, refs []batchRef) (accepted, rejected
 			if refs[i].e != nil {
 				continue
 			}
-			e, gen := sh.get(refs[i].hb.From)
+			e, meta := sh.get(refs[i].hb.From)
 			if e == nil {
 				start := refs[i].hb.Arrived
 				if start.IsZero() {
 					start = m.clk.Now()
 				}
 				id := m.ids.InternString(refs[i].hb.From)
-				e, gen = sh.bind(id, m.factory(id, start), m.groupOf(id), start)
+				e, meta = sh.bind(id, m.factory(id, start), m.groupOf(id), start)
 				if m.tel != nil {
 					m.tel.Counters.Registered(refs[i].h)
 				}
@@ -114,7 +114,7 @@ func (m *Monitor) ingestShardRun(si uint32, refs []batchRef) (accepted, rejected
 			id := refs[i].hb.From
 			for j := i; j < len(refs); j++ {
 				if refs[j].e == nil && refs[j].hb.From == id {
-					refs[j].e, refs[j].gen = e, gen
+					refs[j].e, refs[j].meta = e, meta
 				}
 			}
 		}
@@ -125,11 +125,11 @@ func (m *Monitor) ingestShardRun(si uint32, refs []batchRef) (accepted, rejected
 			rejected++
 			continue
 		}
-		// A generation mismatch (process deregistered after resolution)
+		// A binding mismatch (process deregistered after resolution)
 		// drops the beat but still counts it accepted: the registry took
 		// it, its target vanished — the same outcome the pre-slab
 		// registry gave a racing orphaned entry.
-		stale, ok := refs[i].e.report(refs[i].gen, refs[i].hb)
+		stale, ok := refs[i].e.report(refs[i].meta, refs[i].hb)
 		if ok && m.tel != nil {
 			m.tel.Counters.Heartbeat(refs[i].h, stale)
 		}

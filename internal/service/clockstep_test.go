@@ -83,3 +83,33 @@ func TestClockStepKeepsLevels(t *testing.T) {
 		}
 	}
 }
+
+// TestClockStepKeepsInfoAges steps the wall clock by ±1 h after the
+// last heartbeat while the monotonic clock advances 110 ms: the age of
+// every process's last arrival, as federation digests compute it from
+// EachInfo (now.Sub(LastArrival)), must stay the monotonic 110 ms.
+func TestClockStepKeepsInfoAges(t *testing.T) {
+	var now time.Time
+	m := NewMonitor(clock.Func(func() time.Time { return now }), simpleFactory)
+	now = time.Now()
+	for _, id := range []string{"a", "b"} {
+		if err := m.Heartbeat(core.Heartbeat{From: id, Seq: 1, Arrived: now}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = 110 * time.Millisecond
+	unstepped := now.Add(want)
+	for _, step := range []time.Duration{0, time.Hour, -time.Hour} {
+		now = stepWall(unstepped, step)
+		n := 0
+		m.EachInfo(func(info ProcessInfo) {
+			n++
+			if age := now.Sub(info.LastArrival); age != want {
+				t.Errorf("step %v: age of %s = %v, want %v", step, info.ID, age, want)
+			}
+		})
+		if n != 2 {
+			t.Errorf("step %v: walk visited %d processes, want 2", step, n)
+		}
+	}
+}

@@ -13,6 +13,11 @@ import (
 // history for dashboards and postmortems (served by the HTTP API as
 // /v1/history). Create one with NewRecorder; it samples on Tick, which a
 // Watcher-style goroutine (StartRecorder) or the simulator drives.
+//
+// A process absent from capacity consecutive ticks (deregistered, or
+// replaced under a new id) has its ring dropped: its history stays
+// available for one full window after it leaves, and churn cannot grow
+// the recorder without bound.
 type Recorder struct {
 	mon      *Monitor
 	capacity int
@@ -41,6 +46,7 @@ type ring struct {
 	buf  []core.QueryRecord
 	head int
 	n    int
+	seen int64 // the tick (Recorder.samples) that last pushed a sample
 }
 
 func (r *ring) push(rec core.QueryRecord) {
@@ -101,6 +107,16 @@ func (r *Recorder) Tick() {
 			r.byProc[s.id] = rg
 		}
 		rg.push(core.QueryRecord{At: now, Level: s.lvl})
+		rg.seen = r.samples
+	}
+	// Every ring was pushed this tick unless the map outgrew the sample
+	// set, so the sweep runs only when some process is absent.
+	if len(r.byProc) > len(r.scratch) {
+		for id, rg := range r.byProc {
+			if r.samples-rg.seen >= int64(r.capacity) {
+				delete(r.byProc, id)
+			}
+		}
 	}
 	r.mu.Unlock()
 	r.lastTick.Store(now.UnixNano())
@@ -119,7 +135,8 @@ func (r *Recorder) LastTick() time.Time {
 }
 
 // History returns the recorded samples for one process, oldest first.
-// The second result is false when the process has never been sampled.
+// The second result is false when the process has never been sampled,
+// or has been absent long enough for its ring to be dropped.
 func (r *Recorder) History(id string) ([]core.QueryRecord, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -102,3 +102,43 @@ func TestRecorderTracksNewProcesses(t *testing.T) {
 		t.Error("newly registered process not sampled")
 	}
 }
+
+// TestRecorderDropsDepartedProcess pins the recorder's retention: a
+// deregistered process keeps its history while it has been absent for
+// fewer than capacity ticks, and its ring is dropped at the capacity-th.
+// Steady-state ticks, including the absent-process sweep, allocate
+// nothing.
+func TestRecorderDropsDepartedProcess(t *testing.T) {
+	m, clk := newTestMonitor()
+	_ = m.Heartbeat(hb("stay", 1, clk.Now()))
+	_ = m.Heartbeat(hb("gone", 1, clk.Now()))
+	const capacity = 8
+	rec := NewRecorder(m, capacity)
+	rec.Tick()
+	m.Deregister("gone")
+	for i := 1; i < capacity; i++ {
+		rec.Tick()
+	}
+	if records, ok := rec.History("gone"); !ok || len(records) != 1 {
+		t.Fatalf("history after %d absent ticks = %v, %v; want the 1 sample kept", capacity-1, records, ok)
+	}
+	for i := 0; i < 2; i++ {
+		rec.Tick()
+	}
+	if _, ok := rec.History("gone"); ok {
+		t.Errorf("departed process still has history after %d absent ticks", capacity+1)
+	}
+	if records, _ := rec.History("stay"); len(records) != capacity {
+		t.Errorf("present process has %d samples, want %d", len(records), capacity)
+	}
+	if raceEnabled {
+		return
+	}
+	rec.Tick() // the scratch buffer has reached its high-water mark
+	_ = m.Heartbeat(hb("brief", 1, clk.Now()))
+	rec.Tick()
+	m.Deregister("brief")
+	if allocs := testing.AllocsPerRun(capacity-2, rec.Tick); allocs != 0 {
+		t.Errorf("Tick with an absent process: %v allocs/op, want 0", allocs)
+	}
+}

@@ -38,12 +38,11 @@
 // carries id → slot index; at a million processes that replaces a
 // million individually heap-allocated entries (each its own GC object,
 // scattered across the heap) with a few thousand contiguous chunks the
-// collector scans in bulk. Slots are guarded by a generation counter —
-// odd while bound, even while free, bumped on every transition — so a
-// handle resolved before a deregistration can never read or write the
-// *next* process bound into the same slot: every detector access
-// revalidates the generation under the entry lock and drops the
-// operation on mismatch.
+// collector scans in bulk. Each binding of a slot has its own identity,
+// the *entryMeta pointer, so a handle resolved before a deregistration
+// can never read or write the *next* process bound into the same slot:
+// every detector access compares the handle's pointer with the slot's
+// under the entry lock and drops the operation on mismatch.
 package service
 
 import (
@@ -148,11 +147,12 @@ func (p Profile) EstimatorWindow(def int) int {
 //
 // Entries are slab slots, not individually allocated objects: they must
 // never be copied (the mutex) and are reused across register/deregister
-// cycles. gen distinguishes bindings: odd while a process is bound to
-// the slot, even while free, bumped under e.mu on every bind and unbind.
-// A caller that resolved (entry, gen) under a shard lock passes the gen
-// back into report, which verifies it under e.mu and refuses the
-// operation if the slot was rebound in between.
+// cycles. meta distinguishes bindings: a caller that resolved
+// (entry, meta) under a shard lock passes meta back into report, which
+// compares it with the slot's under e.mu and refuses the operation if
+// the slot was rebound in between. Holding the pointer keeps it alive,
+// so its address cannot be reused by a later binding while the check
+// is pending.
 //
 // # The eval cell
 //
@@ -173,14 +173,13 @@ type entry struct {
 	// lastSeq is the highest heartbeat sequence number seen (0 until a
 	// numbered heartbeat arrives), guarded by mu like the detector.
 	lastSeq uint64
-	gen     atomic.Uint64
 	det     core.Detector
 	// snap is det asserted to core.EvalSnapshotter once at bind (nil when
 	// the detector does not publish snapshots); guarded by mu.
 	snap core.EvalSnapshotter
 	// lastArrival is the arrival time of the newest heartbeat (the bind
-	// time until one arrives), guarded by mu like the detector; its
-	// UnixNano is mirrored into evalLast for lock-free readers.
+	// time until one arrives), guarded by mu like the detector; it is
+	// mirrored into evalLast, as core.EvalNanos, for lock-free readers.
 	lastArrival time.Time
 
 	// meta is the binding's identity (id and group tag), nil while the
@@ -191,7 +190,7 @@ type entry struct {
 
 	// The seqlock cell proper. evalKind/evalRef/evalP1/evalP2/evalEps
 	// mirror core.EvalSnapshot (floats as Float64bits); evalLast mirrors
-	// lastArrival.UnixNano(); evalAux boxes the snapshot's EvalAux hook,
+	// core.EvalNanos(lastArrival); evalAux boxes the snapshot's EvalAux hook,
 	// re-boxed only when its identity changes (for the in-tree detectors
 	// that is once per binding, so steady-state publication allocates
 	// nothing).
@@ -212,10 +211,10 @@ type entryMeta struct {
 	group string
 }
 
-// info is the ProcessInfo of the binding with level lvl and the
-// last-arrival stamp last (UnixNano) read with it.
-func (meta *entryMeta) info(lvl core.Level, last int64) ProcessInfo {
-	return ProcessInfo{ID: meta.id, Group: meta.group, Level: lvl, LastArrival: time.Unix(0, last)}
+// info is the ProcessInfo of the binding at the walk's clock reading
+// now, with the level lvl and last-arrival age read with it.
+func (meta *entryMeta) info(lvl core.Level, now time.Time, age time.Duration) ProcessInfo {
+	return ProcessInfo{ID: meta.id, Group: meta.group, Level: lvl, LastArrival: now.Add(-age)}
 }
 
 // evalAuxBox wraps the snapshot's EvalAux hook so the two-word interface
@@ -238,7 +237,7 @@ func (e *entry) publishEval(meta *entryMeta, setMeta bool) {
 	}
 	e.evalKind.Store(uint32(snap.Kind))
 	e.evalRef.Store(snap.Ref)
-	e.evalLast.Store(e.lastArrival.UnixNano())
+	e.evalLast.Store(core.EvalNanos(e.lastArrival))
 	e.evalP1.Store(math.Float64bits(snap.P1))
 	e.evalP2.Store(math.Float64bits(snap.P2))
 	e.evalEps.Store(math.Float64bits(float64(snap.Eps)))
@@ -258,7 +257,7 @@ const evalSpinLimit = 64
 
 // loadEval performs one lock-free read of the entry's eval cell. ok is
 // false when the slot is free; otherwise meta, snap and last (the
-// last-arrival UnixNano) form one consistent published state. A
+// last arrival as core.EvalNanos) form one consistent published state. A
 // snapshot of kind core.EvalNone means the bound detector does not
 // publish snapshots and the caller must evaluate under the entry lock.
 func (e *entry) loadEval() (meta *entryMeta, snap core.EvalSnapshot, last int64, ok bool) {
@@ -301,7 +300,7 @@ func (e *entry) loadEval() (meta *entryMeta, snap core.EvalSnapshot, last int64,
 	} else {
 		snap = core.EvalSnapshot{}
 	}
-	last = e.lastArrival.UnixNano()
+	last = core.EvalNanos(e.lastArrival)
 	e.mu.Unlock()
 	return meta, snap, last, true
 }
@@ -324,11 +323,11 @@ func (e *entry) lockedLevel(meta *entryMeta, now time.Time) (core.Level, bool) {
 // out-of-order delivery). Stale heartbeats still reach the detector:
 // they are real arrivals and the sampling-window estimators want them;
 // staleness is a telemetry signal, not a filter. ok is false when the
-// slot's generation no longer matches gen (the process was deregistered
+// slot no longer holds the binding meta (the process was deregistered
 // after the caller resolved the handle); the heartbeat is then dropped.
-func (e *entry) report(gen uint64, hb core.Heartbeat) (stale, ok bool) {
+func (e *entry) report(meta *entryMeta, hb core.Heartbeat) (stale, ok bool) {
 	e.mu.Lock()
-	if e.gen.Load() != gen {
+	if e.meta.Load() != meta {
 		e.mu.Unlock()
 		return false, false
 	}
@@ -399,38 +398,37 @@ type shard struct {
 	slab  slab
 }
 
-// get resolves id to its entry and current generation. Caller holds
-// sh.mu (read or write); the returned gen is the binding observed under
+// get resolves id to its entry and binding identity. Caller holds
+// sh.mu (read or write); the returned meta is the binding observed under
 // that lock, and stays verifiable after the lock is released.
-func (sh *shard) get(id string) (*entry, uint64) {
+func (sh *shard) get(id string) (*entry, *entryMeta) {
 	idx, ok := sh.procs[id]
 	if !ok {
-		return nil, 0
+		return nil, nil
 	}
 	e := sh.slab.at(idx)
-	return e, e.gen.Load()
+	return e, e.meta.Load()
 }
 
 // bind allocates a slot for id and installs det, tagged with the
 // process's group and stamped with its start time (so lastArrival is
 // never zero for a bound slot). Caller holds the shard write lock; id
 // must not be present.
-func (sh *shard) bind(id string, det core.Detector, group string, start time.Time) (*entry, uint64) {
+func (sh *shard) bind(id string, det core.Detector, group string, start time.Time) (*entry, *entryMeta) {
 	idx, e := sh.slab.alloc()
+	meta := &entryMeta{id: id, group: group}
 	e.mu.Lock()
 	e.det = det
 	e.snap, _ = det.(core.EvalSnapshotter)
 	e.lastSeq = 0
 	e.lastArrival = start
-	e.gen.Add(1) // even → odd: bound
-	gen := e.gen.Load()
 	// Publish the identity and the detector's initial snapshot in one
 	// seqlock window: lock-free walks see the process from this instant,
 	// never with a predecessor's parameters.
-	e.publishEval(&entryMeta{id: id, group: group}, true)
+	e.publishEval(meta, true)
 	e.mu.Unlock()
 	sh.procs[id] = idx
-	return e, gen
+	return e, meta
 }
 
 // unbind removes id, invalidates outstanding handles to its slot and
@@ -446,7 +444,6 @@ func (sh *shard) unbind(id string) bool {
 	delete(sh.procs, id)
 	e := sh.slab.at(idx)
 	e.mu.Lock()
-	e.gen.Add(1) // odd → even: free
 	e.det = nil
 	e.snap = nil
 	e.lastSeq = 0
@@ -494,10 +491,6 @@ type Monitor struct {
 	// verify the once-per-shard-per-batch contract; production monitors
 	// leave it nil.
 	onShardLock func(shard uint32, write bool)
-
-	// coal is the single-flight coalescer behind the Shared walk
-	// variants (walk.go).
-	coal walkCoalescer
 }
 
 // noteWalkRun counts one full-registry evaluation pass on the telemetry
@@ -630,14 +623,14 @@ func (m *Monitor) groupOf(id string) string {
 	return m.groupFn(id)
 }
 
-// lookup returns the live entry for id with its binding generation, or
-// (nil, 0).
-func (m *Monitor) lookup(id string) (*entry, uint64) {
+// lookup returns the live entry for id with its binding identity, or
+// (nil, nil).
+func (m *Monitor) lookup(id string) (*entry, *entryMeta) {
 	sh := m.shardFor(id)
 	sh.mu.RLock()
-	e, gen := sh.get(id)
+	e, meta := sh.get(id)
 	sh.mu.RUnlock()
-	return e, gen
+	return e, meta
 }
 
 // Register adds a monitored process. It returns ErrAlreadyRegistered if
@@ -727,28 +720,10 @@ func (m *Monitor) appendIDs(buf []string) []string {
 }
 
 // ShardCount returns the number of registry shards. Together with
-// AppendShardIDs it is the basis of cursor-style incremental reads: a
+// AppendShardInfos it is the basis of cursor-style incremental reads: a
 // consumer that cannot afford one O(n) pass (the /v1/metrics scrape at
 // very large memberships) walks shards [cursor, cursor+k) per page.
 func (m *Monitor) ShardCount() int { return len(m.shards) }
-
-// AppendShardIDs appends the ids currently registered in shard s
-// (0 <= s < ShardCount) to dst and returns the extended slice, unsorted.
-// Out-of-range shards append nothing. Only shard s's read lock is
-// taken, so paging through shards never pauses the rest of the
-// registry; callers reuse dst across pages to avoid re-allocating.
-func (m *Monitor) AppendShardIDs(s int, dst []string) []string {
-	if s < 0 || s >= len(m.shards) {
-		return dst
-	}
-	sh := &m.shards[s]
-	sh.mu.RLock()
-	for id := range sh.procs {
-		dst = append(dst, id)
-	}
-	sh.mu.RUnlock()
-	return dst
-}
 
 // Heartbeat routes a heartbeat to the detector of its sender,
 // registering the sender first when auto-registration is on. A process
@@ -759,7 +734,7 @@ func (m *Monitor) Heartbeat(hb core.Heartbeat) error {
 	h := fnv1a(hb.From)
 	sh := m.shardAt(h)
 	sh.mu.RLock()
-	e, gen := sh.get(hb.From)
+	e, meta := sh.get(hb.From)
 	sh.mu.RUnlock()
 	if e == nil {
 		if !m.autoRegister {
@@ -771,19 +746,19 @@ func (m *Monitor) Heartbeat(hb core.Heartbeat) error {
 		}
 		id := m.ids.InternString(hb.From)
 		sh.mu.Lock()
-		if e, gen = sh.get(id); e == nil {
-			e, gen = sh.bind(id, m.factory(id, start), m.groupOf(id), start)
+		if e, meta = sh.get(id); e == nil {
+			e, meta = sh.bind(id, m.factory(id, start), m.groupOf(id), start)
 			if m.tel != nil {
 				m.tel.Counters.Registered(h)
 			}
 		}
 		sh.mu.Unlock()
 	}
-	// A generation mismatch means the process was deregistered between
-	// the lookup and the report; the beat is for a process that no
-	// longer exists, so it is dropped without error (the same observable
+	// A binding mismatch means the process was deregistered between the
+	// lookup and the report; the beat is for a process that no longer
+	// exists, so it is dropped without error (the same observable
 	// outcome the pre-slab registry gave a racing orphaned entry).
-	stale, ok := e.report(gen, hb)
+	stale, ok := e.report(meta, hb)
 	if ok && m.tel != nil {
 		m.tel.Counters.Heartbeat(h, stale)
 	}
@@ -832,7 +807,7 @@ func (e *entry) snapLevel(id string, now time.Time) (core.Level, bool) {
 func (m *Monitor) EachLevel(fn func(id string, lvl core.Level)) {
 	now := m.clk.Now()
 	for i := range m.shards {
-		walkShard(&m.shards[i], now, func(meta *entryMeta, lvl core.Level, _ int64) {
+		walkShard(&m.shards[i], now, func(meta *entryMeta, lvl core.Level, _ time.Duration) {
 			fn(meta.id, lvl)
 		})
 	}
@@ -842,6 +817,10 @@ func (m *Monitor) EachLevel(fn func(id string, lvl core.Level)) {
 // ProcessInfo is one monitored process's digest-relevant state at one
 // clock reading: its group tag, its suspicion level and the arrival time
 // of its newest heartbeat (the registration time until one arrives).
+// LastArrival is the walk's clock reading minus the elapsed time since
+// that arrival, measured on the core.EvalNanos timeline: it carries the
+// reading's monotonic clock, so now.Sub(LastArrival) is unmoved by a
+// wall-clock step.
 type ProcessInfo struct {
 	ID          string
 	Group       string
@@ -860,8 +839,8 @@ type ProcessInfo struct {
 func (m *Monitor) EachInfo(fn func(info ProcessInfo)) {
 	now := m.clk.Now()
 	for i := range m.shards {
-		walkShard(&m.shards[i], now, func(meta *entryMeta, lvl core.Level, last int64) {
-			fn(meta.info(lvl, last))
+		walkShard(&m.shards[i], now, func(meta *entryMeta, lvl core.Level, age time.Duration) {
+			fn(meta.info(lvl, now, age))
 		})
 	}
 	m.noteWalkRun()

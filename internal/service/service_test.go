@@ -551,7 +551,7 @@ func topKWant(ranked []RankedProcess, i int) RankedProcess {
 	return desc[i]
 }
 
-func TestAppendShardIDsCoversRegistry(t *testing.T) {
+func TestAppendShardInfosCoversRegistry(t *testing.T) {
 	m, clk := newTestMonitor()
 	want := map[string]bool{}
 	for i := 0; i < 100; i++ {
@@ -559,24 +559,24 @@ func TestAppendShardIDsCoversRegistry(t *testing.T) {
 		_ = m.Heartbeat(hb(id, 1, clk.Now()))
 		want[id] = true
 	}
-	var ids []string
+	var infos []ProcessInfo
 	for s := 0; s < m.ShardCount(); s++ {
-		ids = m.AppendShardIDs(s, ids)
+		infos = m.AppendShardInfos(s, clk.Now(), infos)
 	}
-	if len(ids) != len(want) {
-		t.Fatalf("shard walk saw %d ids, want %d", len(ids), len(want))
+	if len(infos) != len(want) {
+		t.Fatalf("shard walk saw %d processes, want %d", len(infos), len(want))
 	}
-	for _, id := range ids {
-		if !want[id] {
-			t.Errorf("unexpected id %q", id)
+	for _, info := range infos {
+		if !want[info.ID] {
+			t.Errorf("unexpected or repeated id %q", info.ID)
 		}
-		delete(want, id)
+		delete(want, info.ID)
 	}
-	// Out-of-range shards are a no-op, not a panic.
-	if got := m.AppendShardIDs(-1, nil); got != nil {
-		t.Errorf("AppendShardIDs(-1) = %v", got)
-	}
-	if got := m.AppendShardIDs(m.ShardCount(), nil); got != nil {
-		t.Errorf("AppendShardIDs(ShardCount) = %v", got)
+	// Out-of-range shards return dst unchanged, not a panic.
+	dst := []ProcessInfo{{ID: "sentinel"}}
+	for _, s := range []int{-1, m.ShardCount()} {
+		if got := m.AppendShardInfos(s, clk.Now(), dst); len(got) != 1 || got[0].ID != "sentinel" {
+			t.Errorf("AppendShardInfos(%d) = %v, want dst unchanged", s, got)
+		}
 	}
 }

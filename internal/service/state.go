@@ -85,19 +85,19 @@ func (m *Monitor) ExportState() MonitorState {
 func (m *Monitor) ImportState(st MonitorState) (restored int, err error) {
 	var errs []error
 	for _, ps := range st.Procs {
-		e, gen := m.lookup(ps.ID)
+		e, meta := m.lookup(ps.ID)
 		if e == nil {
 			id := m.ids.InternString(ps.ID)
 			sh := m.shardFor(id)
 			sh.mu.Lock()
-			if e, gen = sh.get(id); e == nil {
+			if e, meta = sh.get(id); e == nil {
 				now := m.clk.Now()
-				e, gen = sh.bind(id, m.factory(id, now), m.groupOf(id), now)
+				e, meta = sh.bind(id, m.factory(id, now), m.groupOf(id), now)
 			}
 			sh.mu.Unlock()
 		}
 		e.mu.Lock()
-		if e.gen.Load() != gen {
+		if e.meta.Load() != meta {
 			// Deregistered between resolution and restore; the process is
 			// gone, there is nothing to restore into.
 			e.mu.Unlock()

@@ -164,31 +164,13 @@ type LevelSource interface {
 	EachLevel(fn func(id string, lvl core.Level))
 }
 
-// sharedLevelSource is the coalesced walk a LevelSource may additionally
-// offer (service.Monitor.EachLevelShared): same-instant full-fleet
-// readers share one registry pass. Sample upgrades to it when present.
-type sharedLevelSource interface {
-	EachLevelShared(fn func(id string, lvl core.Level))
-}
-
 // Sample observes every process of src once, at src's current clock
-// reading. This is one polling round of the online estimators. When src
-// offers a coalesced walk, the round joins it — a sampling tick that
-// fires together with a scrape or a gossip round shares their registry
-// pass instead of adding one. Holding q.mu across the join is safe: the
-// estimator callback may run on the walk leader's goroutine, but this
-// round stays blocked until it has, so mutual exclusion on the
-// estimator state is preserved (and no shared-walk consumer acquires
-// q.mu — the scrape path deliberately reads shards directly).
+// reading. This is one polling round of the online estimators.
 func (q *QoS) Sample(src LevelSource) {
 	now := src.Now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	walk := src.EachLevel
-	if s, ok := src.(sharedLevelSource); ok {
-		walk = s.EachLevelShared
-	}
-	walk(func(id string, lvl core.Level) {
+	src.EachLevel(func(id string, lvl core.Level) {
 		q.observeLocked(id, lvl, now)
 	})
 }

@@ -66,8 +66,8 @@ type Hub struct {
 	// movements (internal/autotune); zero and inert when autotuning is
 	// off.
 	Autotune AutotuneCounters
-	// Walks counts the evaluation plane's full-registry passes and how
-	// many consumers shared one (internal/service walk coalescing).
+	// Walks counts the evaluation plane's full-registry passes
+	// (internal/service).
 	Walks WalkCounters
 
 	qos *QoS

@@ -5,31 +5,25 @@ import "sync/atomic"
 // WalkCounters tracks the lock-free evaluation plane's full-registry
 // walks (service.Monitor.EachLevel and friends). Walks are low-rate
 // relative to heartbeat ingest — sampler, gossip and scrape cadences —
-// so plain atomics suffice; everything here is allocation-free.
+// so a plain atomic suffices; everything here is allocation-free.
 type WalkCounters struct {
-	// Runs counts full-registry evaluation passes actually executed:
-	// sequential, parallel, and the coalescer's leader/batch passes.
+	// Runs counts full-registry evaluation passes executed.
 	Runs atomic.Uint64
-	// CoalescedConsumers counts consumers served by joining another
-	// consumer's walk instead of running their own. A high ratio of
-	// coalesced to runs means same-instant readers (scrape + gossip +
-	// QoS sampling) are sharing passes as intended.
-	CoalescedConsumers atomic.Uint64
 }
 
 // Run counts one executed full-registry pass.
 func (w *WalkCounters) Run() { w.Runs.Add(1) }
 
-// Coalesced counts n consumers served by a shared pass they joined.
-func (w *WalkCounters) Coalesced(n int) { w.CoalescedConsumers.Add(uint64(n)) }
-
 // WalkStats is a point-in-time snapshot of WalkCounters.
 type WalkStats struct {
-	Runs      uint64
+	Runs uint64
+	// Coalesced is always 0: every fleet reader runs its own pass. The
+	// field is kept only so the perfbench module, which reads it, still
+	// builds.
 	Coalesced uint64
 }
 
 // Snapshot reads every counter once.
 func (w *WalkCounters) Snapshot() WalkStats {
-	return WalkStats{Runs: w.Runs.Load(), Coalesced: w.CoalescedConsumers.Load()}
+	return WalkStats{Runs: w.Runs.Load()}
 }

@@ -291,9 +291,7 @@ func (a *API) writeGlobalMetrics(mw *telemetry.MetricWriter) {
 
 	walks := a.hub.Walks.Snapshot()
 	counter("accrual_walk_runs_total",
-		"Full-registry evaluation walks executed (sequential, parallel and coalesced batch passes)", walks.Runs)
-	counter("accrual_walk_coalesced_total",
-		"Full-fleet readers served by joining another consumer's walk instead of running their own", walks.Coalesced)
+		"Full-registry evaluation walks executed", walks.Runs)
 
 	count, mean, max := a.hub.QoS().DetectionStats()
 	mw.Header("accrual_qos_detections_total",
