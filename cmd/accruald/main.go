@@ -124,7 +124,7 @@ func run(ctx context.Context, args []string, ready chan<- [2]string) error {
 		detName   = fs.String("detector", "phi", "detector per process: phi, chen, kappa, simple")
 		interval  = fs.Duration("interval", time.Second, "expected heartbeat interval")
 		logTrans  = fs.Bool("log-transitions", true, "log S-/T-transitions observed by an internal Algorithm 1 view")
-		history   = fs.Int("history", 600, "level samples kept per process for /v1/history (0 disables)")
+		history   = fs.Int("history", 600, "ticks of level history kept per process for /v1/history, at ~8 B of heap per tick per process (0 disables)")
 		shards    = fs.Int("shards", 0, "monitor registry shard count, rounded up to a power of two (0 = default 64)")
 		ingestWk  = fs.Int("ingest-workers", runtime.GOMAXPROCS(0), "parallel heartbeat ingest goroutines (0 = ingest from the read loop)")
 		ingestQ   = fs.Int("ingest-queue", 256, "per-worker ingest queue capacity; a full queue sheds newest packets (counted, never blocking the read loop)")

@@ -14,6 +14,14 @@ import (
 // /v1/history). Create one with NewRecorder; it samples on Tick, which a
 // Watcher-style goroutine (StartRecorder) or the simulator drives.
 //
+// A history is a window of the last capacity ticks, not of the last
+// capacity samples: a process's ring holds the levels it had on those
+// ticks it was sampled on, and a tick it missed (it was deregistered at
+// the time) is absent from its history. The two windows differ only for
+// an id that left and came back within capacity ticks. Every process
+// sampled on one tick shares that tick's time, which the recorder stores
+// once for the whole fleet, so a ring costs about 8 bytes per sample.
+//
 // A process absent from capacity consecutive ticks (deregistered, or
 // replaced under a new id) has its ring dropped: its history stays
 // available for one full window after it leaves, and churn cannot grow
@@ -29,6 +37,7 @@ type Recorder struct {
 	scratch []levelSample
 
 	mu      sync.Mutex
+	times   []time.Time // tick k's monitor-clock time, at k % capacity
 	byProc  map[string]*ring
 	samples int64
 
@@ -42,33 +51,65 @@ type levelSample struct {
 	lvl core.Level
 }
 
+// ring is one process's levels over the recorder's window: the level
+// sampled on tick k sits at levels[k % capacity]. A process sampled on
+// every tick since its ring was made needs nothing more; the first tick
+// it misses allocates present, whose bit k % capacity from then on says
+// whether tick k sampled the process at all. Both slices are pointer-free.
 type ring struct {
-	buf  []core.QueryRecord
-	head int
-	n    int
-	seen int64 // the tick (Recorder.samples) that last pushed a sample
+	levels  []core.Level
+	present []uint64
+	first   int64 // the tick that made the ring
+	seen    int64 // the tick (Recorder.samples) that last pushed a sample
 }
 
-func (r *ring) push(rec core.QueryRecord) {
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = rec
-		r.n++
-		return
+func newRing(capacity int, tick int64) *ring {
+	return &ring{levels: make([]core.Level, capacity), first: tick, seen: tick - 1}
+}
+
+// push records lvl as the sample of tick, first marking absent every
+// tick in the window since the previous push.
+func (r *ring) push(tick int64, lvl core.Level) {
+	c := int64(len(r.levels))
+	if r.seen+1 < tick {
+		if r.present == nil {
+			r.present = make([]uint64, (c+63)/64)
+			for k := max(r.first, tick-c+1); k <= r.seen; k++ {
+				r.mark(k, true)
+			}
+		}
+		for k := max(r.seen+1, tick-c+1); k < tick; k++ {
+			r.mark(k, false)
+		}
 	}
-	r.buf[r.head] = rec
-	r.head = (r.head + 1) % len(r.buf)
-}
-
-func (r *ring) snapshot() []core.QueryRecord {
-	out := make([]core.QueryRecord, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.head+i)%len(r.buf)]
+	r.levels[tick%c] = lvl
+	if r.present != nil {
+		r.mark(tick, true)
 	}
-	return out
+	r.seen = tick
 }
 
-// NewRecorder returns a recorder over mon keeping the last capacity
-// samples per process (capacity below 1 is raised to 1).
+func (r *ring) mark(k int64, sampled bool) {
+	i := k % int64(len(r.levels))
+	if sampled {
+		r.present[i/64] |= 1 << (i % 64)
+	} else {
+		r.present[i/64] &^= 1 << (i % 64)
+	}
+}
+
+// sampled reports whether tick k, which must lie in the window and not
+// after the last push, sampled the process.
+func (r *ring) sampled(k int64) bool {
+	if r.present == nil {
+		return k >= r.first
+	}
+	i := k % int64(len(r.levels))
+	return r.present[i/64]&(1<<(i%64)) != 0
+}
+
+// NewRecorder returns a recorder over mon keeping each process's samples
+// from the last capacity ticks (capacity below 1 is raised to 1).
 func NewRecorder(mon *Monitor, capacity int) *Recorder {
 	if capacity < 1 {
 		capacity = 1
@@ -76,6 +117,7 @@ func NewRecorder(mon *Monitor, capacity int) *Recorder {
 	return &Recorder{
 		mon:      mon,
 		capacity: capacity,
+		times:    make([]time.Time, capacity),
 		byProc:   make(map[string]*ring),
 	}
 }
@@ -100,20 +142,21 @@ func (r *Recorder) Tick() {
 	})
 	r.mu.Lock()
 	r.samples++
+	tick := r.samples
+	r.times[tick%int64(r.capacity)] = now
 	for _, s := range r.scratch {
 		rg, ok := r.byProc[s.id]
 		if !ok {
-			rg = &ring{buf: make([]core.QueryRecord, r.capacity)}
+			rg = newRing(r.capacity, tick)
 			r.byProc[s.id] = rg
 		}
-		rg.push(core.QueryRecord{At: now, Level: s.lvl})
-		rg.seen = r.samples
+		rg.push(tick, s.lvl)
 	}
 	// Every ring was pushed this tick unless the map outgrew the sample
 	// set, so the sweep runs only when some process is absent.
 	if len(r.byProc) > len(r.scratch) {
 		for id, rg := range r.byProc {
-			if r.samples-rg.seen >= int64(r.capacity) {
+			if tick-rg.seen >= int64(r.capacity) {
 				delete(r.byProc, id)
 			}
 		}
@@ -134,9 +177,10 @@ func (r *Recorder) LastTick() time.Time {
 	return time.Unix(0, ns)
 }
 
-// History returns the recorded samples for one process, oldest first.
-// The second result is false when the process has never been sampled,
-// or has been absent long enough for its ring to be dropped.
+// History returns the recorded samples for one process, oldest first,
+// each stamped with its tick's time. The second result is false when the
+// process has never been sampled, or has been absent long enough for its
+// ring to be dropped.
 func (r *Recorder) History(id string) ([]core.QueryRecord, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -144,7 +188,18 @@ func (r *Recorder) History(id string) ([]core.QueryRecord, bool) {
 	if !ok {
 		return nil, false
 	}
-	return rg.snapshot(), true
+	// A kept ring's last sample is inside the window (the drop rule), so
+	// the walk runs from the window's oldest tick up to that sample.
+	c := int64(r.capacity)
+	from := max(r.samples-c+1, 1)
+	out := make([]core.QueryRecord, 0, rg.seen-from+1)
+	for k := from; k <= rg.seen; k++ {
+		if rg.sampled(k) {
+			i := k % c
+			out = append(out, core.QueryRecord{At: r.times[i], Level: rg.levels[i]})
+		}
+	}
+	return out, true
 }
 
 // Ticks returns how many sampling rounds have run.

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -141,4 +143,120 @@ func TestRecorderDropsDepartedProcess(t *testing.T) {
 	if allocs := testing.AllocsPerRun(capacity-2, rec.Tick); allocs != 0 {
 		t.Errorf("Tick with an absent process: %v allocs/op, want 0", allocs)
 	}
+}
+
+// TestRecorderWindowAcrossReregistration pins the one way a window of
+// ticks differs from a window of samples: a process deregistered for g <
+// capacity ticks and registered again keeps its samples from before the
+// gap, each with its original tick time; the ticks it missed are absent;
+// and samples leave the history once they are capacity ticks old.
+func TestRecorderWindowAcrossReregistration(t *testing.T) {
+	m, clk := newTestMonitor()
+	_ = m.Heartbeat(hb("p", 1, clk.Now()))
+	_ = m.Heartbeat(hb("q", 1, clk.Now()))
+	const capacity, gap = 6, 2
+	rec := NewRecorder(m, capacity)
+	var tickTimes []time.Time // indexed by tick - 1
+	tick := func() {
+		clk.Advance(time.Second)
+		tickTimes = append(tickTimes, clk.Now())
+		rec.Tick()
+	}
+	tick() // tick 1
+	tick() // tick 2
+	_ = m.Heartbeat(hb("late", 1, clk.Now()))
+	m.Deregister("p")
+	for i := 0; i < gap; i++ {
+		tick() // ticks 3, 4: p absent
+	}
+	_ = m.Heartbeat(hb("p", 1, clk.Now()))
+	tick() // tick 5
+	tick() // tick 6
+
+	wantTicks := func(ticks ...int) {
+		t.Helper()
+		records, ok := rec.History("p")
+		if !ok {
+			t.Fatal("no history for p")
+		}
+		if len(records) != len(ticks) {
+			t.Fatalf("p has %d samples %v, want ticks %v", len(records), records, ticks)
+		}
+		for i, k := range ticks {
+			if !records[i].At.Equal(tickTimes[k-1]) {
+				t.Errorf("sample %d at %v, want tick %d's time %v", i, records[i].At, k, tickTimes[k-1])
+			}
+		}
+	}
+	wantTicks(1, 2, 5, 6)
+	// A process first sampled inside the window has no earlier ticks.
+	if late, _ := rec.History("late"); len(late) != 4 || !late[0].At.Equal(tickTimes[2]) {
+		t.Errorf("late joiner history = %v, want ticks 3..6", late)
+	}
+	// Re-registration restarted p's detector at tick 4's time, so its
+	// post-gap levels are 1 and 2 again.
+	if records, _ := rec.History("p"); records[1].Level != 2 || records[2].Level != 1 {
+		t.Errorf("p levels = %v", records)
+	}
+
+	tick() // tick 7: tick 1 leaves the window
+	tick() // tick 8: tick 2 leaves the window
+	wantTicks(5, 6, 7, 8)
+	tick() // tick 9: the absent ticks 3 and 4 have left the window
+	wantTicks(5, 6, 7, 8, 9)
+
+	// Processes sampled on one tick report the identical time.
+	p, _ := rec.History("p") // ticks 5..9; q has 4..9
+	q, _ := rec.History("q")
+	if len(q) != capacity {
+		t.Fatalf("q has %d samples, want %d", len(q), capacity)
+	}
+	for i := range p {
+		if qi := i + len(q) - len(p); p[i].At != q[qi].At {
+			t.Errorf("p sample %d at %v, q's sample on the same tick at %v", i, p[i].At, q[qi].At)
+		}
+	}
+
+	tick() // tick 10
+	m.Deregister("p")
+	tick() // tick 11: p absent again, in the ring slot tick 5 filled
+	_ = m.Heartbeat(hb("p", 1, clk.Now()))
+	tick() // tick 12
+	wantTicks(7, 8, 9, 10, 12)
+}
+
+// TestRecorderBytesPerProcess pins the ring layout: a process's history
+// costs its levels (8 bytes a sample) plus a small constant, because
+// the tick times are stored once for the whole fleet. A ring of full
+// QueryRecords would cost 32 bytes a sample and fail the bound.
+func TestRecorderBytesPerProcess(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory distorts heap figures")
+	}
+	const procs, capacity = 2000, 600 // accruald's default -history
+	m, clk := newTestMonitor()
+	for i := 0; i < procs; i++ {
+		_ = m.Heartbeat(hb(fmt.Sprintf("p%04d", i), 1, clk.Now()))
+	}
+	before := heapAlloc()
+	rec := NewRecorder(m, capacity)
+	for i := 0; i < capacity; i++ {
+		clk.Advance(time.Second)
+		rec.Tick()
+	}
+	after := heapAlloc()
+	runtime.KeepAlive(rec)
+	perProc := (int64(after) - int64(before)) / procs
+	t.Logf("recorder heap: %d B/process at capacity %d", perProc, capacity)
+	if limit := int64(8*capacity + 256); perProc > limit {
+		t.Errorf("recorder heap = %d B/process, want at most %d", perProc, limit)
+	}
+}
+
+func heapAlloc() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -153,6 +153,22 @@ func TestMonitorStress(t *testing.T) {
 			rec.Tick()
 		}
 	}()
+	// History reads race the ticks, including the gap bookkeeping of the
+	// churned ids that drop out of and back into the sample set.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < readerRounds/5; i++ {
+			records, _ := rec.History(fmt.Sprintf("churn-%d", i%16))
+			for j := 1; j < len(records); j++ {
+				if records[j].At.Before(records[j-1].At) {
+					t.Errorf("history out of order: %v", records)
+					break
+				}
+			}
+			_, _ = rec.History(fmt.Sprintf("w%d-p%d", i%writers, i%procsPer))
+		}
+	}()
 
 	// Clock advancer, so levels actually move while everyone reads.
 	wg.Add(1)

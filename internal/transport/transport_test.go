@@ -381,6 +381,52 @@ func TestAPIHistory(t *testing.T) {
 	getJSON(t, srv.URL+"/v1/history", http.StatusBadRequest, &errResp)
 }
 
+// TestAPIHistoryJSON pins the exact /v1/history body for processes
+// sampled on every tick: ids, tick times and levels, oldest first, after
+// the window has wrapped past its first sample.
+func TestAPIHistoryJSON(t *testing.T) {
+	clk := clock.NewManual(time.Date(2005, 3, 22, 0, 0, 0, 0, time.UTC))
+	mon := service.NewMonitor(clk, func(_ string, start time.Time) core.Detector {
+		return simple.New(start)
+	})
+	_ = mon.Heartbeat(core.Heartbeat{From: "p", Seq: 1, Arrived: clk.Now()})
+	_ = mon.Heartbeat(core.Heartbeat{From: "q", Seq: 1, Arrived: clk.Now()})
+	rec := service.NewRecorder(mon, 3)
+	for i := 0; i < 4; i++ {
+		clk.Advance(1500 * time.Millisecond)
+		if i == 1 {
+			_ = mon.Heartbeat(core.Heartbeat{From: "p", Seq: 2, Arrived: clk.Now()})
+		}
+		rec.Tick()
+	}
+	srv := httptest.NewServer(NewAPI(mon, WithRecorder(rec)))
+	defer srv.Close()
+
+	for _, tc := range []struct{ id, want string }{
+		{"p", `{"id":"p","samples":[` +
+			`{"at":"2005-03-22T00:00:03Z","level":0},` +
+			`{"at":"2005-03-22T00:00:04.5Z","level":1.5},` +
+			`{"at":"2005-03-22T00:00:06Z","level":3}]}`},
+		{"q", `{"id":"q","samples":[` +
+			`{"at":"2005-03-22T00:00:03Z","level":3},` +
+			`{"at":"2005-03-22T00:00:04.5Z","level":4.5},` +
+			`{"at":"2005-03-22T00:00:06Z","level":6}]}`},
+	} {
+		resp, err := http.Get(srv.URL + "/v1/history?id=" + tc.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(bytes.TrimSpace(body)); got != tc.want {
+			t.Errorf("/v1/history?id=%s\n got %s\nwant %s", tc.id, got, tc.want)
+		}
+	}
+}
+
 func TestAPIHistoryDisabled(t *testing.T) {
 	srv := httptest.NewServer(NewAPI(newMonitor()))
 	defer srv.Close()
